@@ -39,7 +39,6 @@ class BandwidthSchedule:
     kind: str
     c: float
     a: float
-    compensated: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -90,11 +89,7 @@ class BandwidthSchedule:
                 arr = self._cache.get(key)
                 if arr is None or len(arr) < n:
                     grow = max(n, 2 * len(arr) if arr is not None else n)
-                    terms = self.values(grow) ** key
-                    if self.compensated:
-                        arr = compensated_cumsum(terms)
-                    else:
-                        arr = np.cumsum(terms)
+                    arr = compensated_cumsum(self.values(grow) ** key)
                     self._cache[key] = arr
         return arr[:n]
 

@@ -40,6 +40,9 @@ from .numerics import NeumaierSum, QuadratureError, check_exp_bound
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator
 
+# the level-1 and level-2 kernel-support quadratures must agree to this gap
+_FINITE_N_TOL = 1e-8
+
 
 @dataclass
 class CgfSpec:
@@ -55,9 +58,7 @@ class CgfSpec:
 
     def __post_init__(self):
         d = self.kernel.dimension
-        self.alpha = as_multi_index(
-            self.alpha if self.alpha is not None else (0,) * d, d
-        )
+        self.alpha = as_multi_index(self.alpha, d)
         self.schedule.check_compatible(d, self.alpha.order)
         pt = np.asarray(self.point, dtype=np.float64).reshape(-1)
         if len(pt) != d:
@@ -117,11 +118,12 @@ def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.n
     return term1 - u * v_n * mean
 
 
-def cgf_finite_n(spec: CgfSpec, u, n: int, *, tol: float = 1e-8):
+def cgf_finite_n(spec: CgfSpec, u, n: int):
     """L_n(u) at sample size n, scalar or vectorised over u.
 
     The kernel-support quadrature inside each factor is refined once and
-    the two resolutions must agree within `tol` (QuadratureError otherwise).
+    the two resolutions must agree within `_FINITE_N_TOL` (QuadratureError
+    otherwise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -130,9 +132,9 @@ def cgf_finite_n(spec: CgfSpec, u, n: int, *, tol: float = 1e-8):
     lo = _finite_n_at_level(spec, arr, n, 1)
     hi = _finite_n_at_level(spec, arr, n, 2)
     gap = float(np.max(np.abs(hi - lo)))
-    if gap > tol:
+    if gap > _FINITE_N_TOL:
         raise QuadratureError(
-            f"finite-n cumulant quadrature disagrees by {gap:.3g} (> {tol:g})"
+            f"finite-n cumulant quadrature disagrees by {gap:.3g} (> {_FINITE_N_TOL:g})"
         )
     return float(hi[0]) if scalar else hi.reshape(np.shape(u))
 

@@ -17,8 +17,11 @@ per_n, verdicts} plus the tolerance policy in force; output paths are kept
 out of it so reruns into different directories stay byte-identical.
 
 Exit status: 0 when every verdict passes, 1 when one fails, 2 for an
-invalid config, 3 when a numerical routine gives up.  The environment
-variable RECDEV_THREADS caps the simulation worker count.
+invalid config or a request the library rejects as a usage error (a
+ValueError, such as a derivative sup asked of a 2-d density), 3 when a
+numerical routine gives up (quadrature, root finding, the exp guard) or a
+simulation sees no exceedance at all.  The environment variable
+RECDEV_THREADS caps the simulation worker count.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ from .bandwidth import BandwidthSchedule, ScalingSequence
 from .cgf import CgfSpec, convergence_diagnostic
 from .densities import build_density
 from .deviations import (
+    FINAL_GAP_FRACTION,
+    MONTE_CARLO_SIGMAS,
+    RATIO_CHANGE_TOLERANCE,
+    SANDWICH_SLACK_FRACTION,
     DeviationExperiment,
     UnderpoweredExperimentError,
     chernoff_upper_curve,
@@ -46,7 +53,7 @@ from .deviations import (
     run_uniform,
 )
 from .estimator import batch_values
-from .kernels import builtin_kernel
+from .kernels import builtin_kernel, tensor_grid
 from .numerics import OverflowGuardError, QuadratureError, RootFindError
 from .ratefn import PsiEvaluator
 
@@ -166,11 +173,7 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
     if cfg.region is None:
         return None
     if isinstance(cfg.region, str):
-        axis = parse_range(cfg.region)
-        if cfg.dimension == 1:
-            return axis.reshape(-1, 1)
-        mesh = np.meshgrid(*([axis] * cfg.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_grid(parse_range(cfg.region), cfg.dimension)
     pts = np.asarray(cfg.region, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if cfg.dimension == 1 else pts.reshape(1, -1)
@@ -339,6 +342,15 @@ def _build_experiment(cfg: ExperimentConfig) -> DeviationExperiment:
     )
 
 
+def _float_out(x: float):
+    """x itself, or "nan" / "inf" / "-inf" spelled out when not finite."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -346,12 +358,8 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    out = _float_out(float(value))
+    return out if isinstance(out, str) else repr(out)
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -371,12 +379,7 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+        return _float_out(float(obj))
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -388,15 +391,9 @@ def _write_json(path: str, summary: dict) -> None:
 
 
 def _deviation_rows(report) -> list:
+    # simulate rows carry no Chernoff bound, so that key is left out there
     return [
-        {
-            "n": r.n,
-            "speed": r.speed,
-            "count": r.count,
-            "p_hat": r.p_hat,
-            "censored": bool(r.censored),
-            "normalized_log": r.normalized_log,
-        }
+        {k: v for k, v in dataclasses.asdict(r).items() if v is not None}
         for r in report.rows
     ]
 
@@ -501,7 +498,10 @@ def _cmd_simulate(cfg: ExperimentConfig):
         "sandwich": list(report.sandwich) if report.sandwich is not None else None,
         "per_n": _deviation_rows(report),
         "verdicts": verdicts,
-        "policy": {"final_gap_fraction": 0.3, "sandwich_slack_fraction": 0.3},
+        "policy": {
+            "final_gap_fraction": FINAL_GAP_FRACTION,
+            "sandwich_slack_fraction": SANDWICH_SLACK_FRACTION,
+        },
         "notes": list(report.notes),
     }
     return header, rows, summary, verdicts
@@ -510,31 +510,19 @@ def _cmd_simulate(cfg: ExperimentConfig):
 def _cmd_bias(cfg: ExperimentConfig):
     exp = _build_experiment(cfg)
     report = run_bias_study(exp, q=cfg.q, m_q=cfg.m_q)
-    with_sup = exp.region is not None
-    header = ["n", "normalizer", "bias", "ratio"] + (["sup_normalized"] if with_sup else [])
-    rows = []
-    for r in report.bias_rows:
-        row = [r.n, r.normalizer, r.bias, r.ratio]
-        if with_sup:
-            row.append(r.sup_normalized)
-        rows.append(row)
+    # the columns are the BiasRow fields in order; sup_normalized needs a region
+    header = ["n", "normalizer", "bias", "ratio"]
+    if exp.region is not None:
+        header.append("sup_normalized")
+    rows = [list(dataclasses.astuple(r))[: len(header)] for r in report.bias_rows]
     verdicts = _verdict_dicts(report)
     summary = {
         "subcommand": "bias",
         "q": cfg.q,
         "bound": report.bias_bound,
-        "per_n": [
-            {
-                "n": r.n,
-                "normalizer": r.normalizer,
-                "bias": r.bias,
-                "ratio": r.ratio,
-                "sup_normalized": r.sup_normalized,
-            }
-            for r in report.bias_rows
-        ],
+        "per_n": [dataclasses.asdict(r) for r in report.bias_rows],
         "verdicts": verdicts,
-        "policy": {"ratio_change_tolerance": 0.10},
+        "policy": {"ratio_change_tolerance": RATIO_CHANGE_TOLERANCE},
     }
     return header, rows, summary, verdicts
 
@@ -542,22 +530,17 @@ def _cmd_bias(cfg: ExperimentConfig):
 def _cmd_chernoff(cfg: ExperimentConfig):
     exp = _build_experiment(cfg)
     report = chernoff_upper_curve(exp)
+    # the columns are the DeviationRow fields in order
     header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "chernoff_bound"]
-    rows = [
-        [r.n, r.speed, r.count, r.p_hat, r.censored, r.normalized_log, r.chernoff_bound]
-        for r in report.rows
-    ]
+    rows = [list(dataclasses.astuple(r)) for r in report.rows]
     verdicts = _verdict_dicts(report)
-    per_n = _deviation_rows(report)
-    for entry, r in zip(per_n, report.rows):
-        entry["chernoff_bound"] = r.chernoff_bound
     summary = {
         "subcommand": "chernoff",
         "delta": report.delta,
         "replications": report.replications,
-        "per_n": per_n,
+        "per_n": _deviation_rows(report),
         "verdicts": verdicts,
-        "policy": {"monte_carlo_sigmas": 3},
+        "policy": {"monte_carlo_sigmas": MONTE_CARLO_SIGMAS},
         "notes": list(report.notes),
     }
     return header, rows, summary, verdicts
@@ -697,7 +680,7 @@ def main(argv=None) -> int:
             UnderpoweredExperimentError, ValueError) as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"{args.subcommand}: {module}.{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -5,54 +5,29 @@ expose the same partial derivatives as the kernels do.  Three families are
 provided: diagonal gaussian, gaussian mixture, and uniform box.  The box
 density is not differentiable across its boundary and therefore only
 supports |alpha| = 0.
+
+Points follow the kernels' shape rule (`kernels.as_points`), and the pdf
+is the partial at the zero multi-index, so each family writes one
+evaluation body.  Derivative sups of the 1-d gaussian families use the
+shared `kernels.scan_sup` search.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .kernels import MultiIndex, as_multi_index
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _phi_derivative(k: int, x: np.ndarray) -> np.ndarray:
-    """k-th derivative of the standard normal pdf."""
-    phi = np.exp(-0.5 * x * x) / SQRT_2PI
-    if k == 0:
-        return phi
-    he_prev = np.ones_like(x)
-    he = np.array(x, dtype=float, copy=True)
-    for j in range(1, k):
-        he_prev, he = he, x * he - j * he_prev
-    return ((-1.0) ** k) * he * phi
+from .kernels import MultiIndex, as_multi_index, as_points, hermite_phi, scan_sup
 
 
 class Density:
-    """Shared point handling; subclasses fill pdf/partial/sample."""
+    """Shared point handling; subclasses fill _partial/sample."""
 
     dimension: int = 1
     name: str = ""
     max_derivative_order: int = 0
 
-    def _as_points(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if self.dimension == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
-            # d = 1 inputs are scalars; only an explicit (n, 1) array is
-            # already in point form
-            pts = pts.reshape(pts.shape + (1,))
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(
-                f"points have last dimension {pts.shape[-1]}, density has {self.dimension}"
-            )
-        return pts.reshape(-1, self.dimension), pts.shape[:-1]
-
     def pdf(self, points):
-        pts, lead = self._as_points(points)
-        return self._pdf(pts).reshape(lead)
+        return self.partial(None, points)
 
     def partial(self, alpha, points):
         mi = as_multi_index(alpha, self.dimension)
@@ -61,7 +36,7 @@ class Density:
                 f"density '{self.name}' supports derivatives up to order "
                 f"{self.max_derivative_order}, requested |alpha| = {mi.order}"
             )
-        pts, lead = self._as_points(points)
+        pts, lead = as_points(points, self.dimension)
         return self._partial(mi, pts).reshape(lead)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -71,14 +46,10 @@ class Density:
         """sup_x |f^(order)(x)| (one-dimensional densities only)."""
         raise NotImplementedError
 
-    def _pdf(self, pts):
-        raise NotImplementedError
-
     def _partial(self, mi, pts):
         raise NotImplementedError
 
 
-@dataclass(frozen=False)
 class GaussianDensity(Density):
     """Product of independent normals with per-coordinate mean and sigma."""
 
@@ -93,18 +64,11 @@ class GaussianDensity(Density):
         self.name = "gaussian"
         self.max_derivative_order = 6
 
-    def _pdf(self, pts):
-        z = (pts - self.mean) / self.sigma
-        out = np.ones(len(pts))
-        for j in range(self.dimension):
-            out *= _phi_derivative(0, z[:, j]) / self.sigma[j]
-        return out
-
     def _partial(self, mi, pts):
         z = (pts - self.mean) / self.sigma
         out = np.ones(len(pts))
         for j, aj in enumerate(mi.components):
-            out *= _phi_derivative(aj, z[:, j]) / self.sigma[j] ** (aj + 1)
+            out *= hermite_phi(aj, z[:, j]) / self.sigma[j] ** (aj + 1)
         return out
 
     def sample(self, rng, n):
@@ -114,18 +78,9 @@ class GaussianDensity(Density):
     def max_abs_derivative(self, order):
         if self.dimension != 1:
             raise ValueError("derivative sup is implemented for d = 1 only")
-        s = float(self.sigma[0])
-        x = np.linspace(-10.0, 10.0, 40001)
-        v = np.abs(_phi_derivative(order, x)) / s ** (order + 1)
-        i = int(np.argmax(v))
-        lo, hi = x[max(i - 1, 0)], x[min(i + 1, len(x) - 1)]
-        for _ in range(60):
-            xs = np.linspace(lo, hi, 9)
-            vs = np.abs(_phi_derivative(order, xs))
-            j = int(np.argmax(vs))
-            lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, len(xs) - 1)]
-        xm = 0.5 * (lo + hi)
-        return float(abs(_phi_derivative(order, np.array([xm]))[0]) / s ** (order + 1))
+        # scanned in standard units, then scaled by sigma^-(order + 1)
+        sup = scan_sup(lambda x: hermite_phi(order, x), -10.0, 10.0, 40001)
+        return sup / float(self.sigma[0]) ** (order + 1)
 
 
 class GaussianMixtureDensity(Density):
@@ -150,12 +105,6 @@ class GaussianMixtureDensity(Density):
             GaussianDensity(self.means[m], self.sigmas[m]) for m in range(len(self.weights))
         ]
 
-    def _pdf(self, pts):
-        out = np.zeros(len(pts))
-        for w, comp in zip(self.weights, self._components):
-            out += w * comp._pdf(pts)
-        return out
-
     def _partial(self, mi, pts):
         out = np.zeros(len(pts))
         for w, comp in zip(self.weights, self._components):
@@ -172,17 +121,8 @@ class GaussianMixtureDensity(Density):
             raise ValueError("derivative sup is implemented for d = 1 only")
         span = np.abs(self.means[:, 0]) + 10.0 * self.sigmas[:, 0]
         r = float(np.max(span))
-        x = np.linspace(-r, r, 80001).reshape(-1, 1)
         mi = MultiIndex((order,))
-        v = np.abs(self._partial(mi, x))
-        i = int(np.argmax(v))
-        lo, hi = x[max(i - 1, 0), 0], x[min(i + 1, len(x) - 1), 0]
-        for _ in range(60):
-            xs = np.linspace(lo, hi, 9).reshape(-1, 1)
-            vs = np.abs(self._partial(mi, xs))
-            j = int(np.argmax(vs))
-            lo, hi = xs[max(j - 1, 0), 0], xs[min(j + 1, len(xs) - 1), 0]
-        return float(np.abs(self._partial(mi, np.array([[0.5 * (lo + hi)]])))[0])
+        return scan_sup(lambda x: self._partial(mi, x.reshape(-1, 1)), -r, r, 80001)
 
 
 class UniformBoxDensity(Density):
@@ -200,12 +140,9 @@ class UniformBoxDensity(Density):
         self.max_derivative_order = 0
         self._volume = float(np.prod(self.high - self.low))
 
-    def _pdf(self, pts):
+    def _partial(self, mi, pts):
         inside = np.all((pts >= self.low) & (pts <= self.high), axis=1)
         return np.where(inside, 1.0 / self._volume, 0.0)
-
-    def _partial(self, mi, pts):
-        return self._pdf(pts)
 
     def sample(self, rng, n):
         u = rng.random((n, self.dimension))

@@ -22,10 +22,11 @@ the finite-n Chernoff upper curve evaluated at the optimal tilt.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .bandwidth import speed
 from .cgf import CgfSpec, cgf_finite_n
 from .densities import Density
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
+from .kernels import as_points
 from .ratefn import (
     RateValue,
     UniformRateSpec,
@@ -42,6 +44,16 @@ from .ratefn import (
     quadratic_rate,
     uniform_rate,
 )
+
+# Verdict tolerances; the CLI echoes them into each summary as its policy.
+# The final |normalized log + rate| may be at most this fraction of the rate.
+FINAL_GAP_FRACTION = 0.3
+# Slack on either side of the uniform sandwich, as a fraction of the rate.
+SANDWICH_SLACK_FRACTION = 0.3
+# Largest relative move of the bias ratio between the last two n.
+RATIO_CHANGE_TOLERANCE = 0.10
+# p_hat may exceed the Chernoff bound by this many Monte Carlo standard errors.
+MONTE_CARLO_SIGMAS = 3
 
 
 class UnderpoweredExperimentError(RuntimeError):
@@ -71,13 +83,9 @@ class DeviationExperiment:
             raise ValueError("n_list must be increasing positive integers")
         self.n_list = ns
         if self.region is not None:
-            d = self.spec.kernel.dimension
-            reg = np.asarray(self.region, dtype=np.float64)
-            if d == 1 and not (reg.ndim == 2 and reg.shape[-1] == 1):
-                reg = reg.reshape(-1, 1)
-            if reg.ndim != 2 or reg.shape[1] != d or len(reg) == 0:
-                raise ValueError(f"region grid must be a nonempty (m, {d}) array")
-            self.region = reg
+            self.region, _ = as_points(self.region, self.spec.kernel.dimension)
+            if len(self.region) == 0:
+                raise ValueError("region grid must hold at least one point")
         if self.xi is not None and self.xi <= 0:
             raise ValueError("xi must be > 0")
 
@@ -217,25 +225,21 @@ def _rows_from_counts(exp: DeviationExperiment, counts: np.ndarray) -> tuple:
 
 def _rate_spec(exp: DeviationExperiment, sup_density: float) -> UniformRateSpec:
     spec = exp.spec
-    mode = "ldp_density" if spec.regime == "ldp" else "quadratic"
-    psi = spec._psi if mode == "ldp_density" else None
+    ldp = spec.regime == "ldp"
     return UniformRateSpec(
-        mode=mode,
+        mode="ldp_density" if ldp else "quadratic",
         sup_density=sup_density,
         kernel=spec.kernel,
         a=spec.schedule.a,
         alpha=spec.alpha,
         scaling=spec.scaling,
-        psi=psi,
+        psi=spec.psi() if ldp else None,
     )
 
 
 def _two_sided_rate(exp: DeviationExperiment, sup_density: float) -> RateValue:
     """min of the up- and down-crossing rates at the experiment's delta."""
-    rspec = _rate_spec(exp, sup_density)
-    if rspec.psi is not None and exp.spec._psi is None:
-        exp.spec._psi = rspec.psi
-    _, _, tilde = uniform_rate(rspec, exp.delta)
+    _, _, tilde = uniform_rate(_rate_spec(exp, sup_density), exp.delta)
     return tilde
 
 
@@ -295,7 +299,7 @@ def run_uniform(exp: DeviationExperiment, bounded: bool = True) -> DeviationRepo
     rows = _rows_from_counts(exp, counts)
     verdicts = ()
     if rate.finite:
-        slack = 0.3 * rate.value
+        slack = SANDWICH_SLACK_FRACTION * rate.value
         final = rows[-1].normalized_log
         verdicts = (
             Verdict(
@@ -326,8 +330,9 @@ def _tail_verdicts(rows: tuple, rate: RateValue) -> tuple:
     The normalized log-probabilities approach -rate from below (the
     sub-exponential prefactor pushes log p_hat under -speed * rate), so
     "approaches the rate" is judged on the gap |normalized_log + rate|,
-    which must shrink along n; the final gap must be within 30% of the
-    rate.  With an infinite rate there is nothing to compare against.
+    which must shrink along n; the final gap must be within
+    FINAL_GAP_FRACTION of the rate.  With an infinite rate there is nothing
+    to compare against.
     """
     if not rate.finite or rate.value <= 0:
         return ()
@@ -343,11 +348,13 @@ def _tail_verdicts(rows: tuple, rate: RateValue) -> tuple:
                 "gaps to the rate " + (" > ".join(f"{v:.5g}" for v in gaps)),
             )
         )
+    allowed = FINAL_GAP_FRACTION * rate.value
     out.append(
         Verdict(
             "final_within_30pct",
-            gaps[-1] <= 0.3 * rate.value,
-            f"|{logs[-1]:.6g} - ({-rate.value:.6g})| = {gaps[-1]:.6g} vs 30% = {0.3*rate.value:.6g}",
+            gaps[-1] <= allowed,
+            f"|{logs[-1]:.6g} - ({-rate.value:.6g})| = {gaps[-1]:.6g} "
+            f"vs {FINAL_GAP_FRACTION:.0%} = {allowed:.6g}",
         )
     )
     return tuple(out)
@@ -390,7 +397,7 @@ def run_bias_study(exp: DeviationExperiment, q: int = 2, m_q: Optional[float] = 
         verdicts.append(
             Verdict(
                 "bias_ratio_stable",
-                change < 0.10,
+                change < RATIO_CHANGE_TOLERANCE,
                 f"ratio moved {change:.3%} between n={rows[-2].n} and n={rows[-1].n}",
             )
         )
@@ -459,23 +466,12 @@ def chernoff_upper_curve(
             u = phi_maximizer(rspec, sign * d_eff)
             ln = cgf_finite_n(spec, u, n)
             total += math.exp(-row.speed * (u * sign * d_eff - ln))
-        bound = min(total, 1.0)
-        out_rows.append(
-            DeviationRow(
-                n=row.n,
-                speed=row.speed,
-                count=row.count,
-                p_hat=row.p_hat,
-                censored=row.censored,
-                normalized_log=row.normalized_log,
-                chernoff_bound=bound,
-            )
-        )
+        out_rows.append(dataclasses.replace(row, chernoff_bound=min(total, 1.0)))
     ok = True
     details = []
     for r in out_rows:
         se = math.sqrt(max(r.p_hat * (1 - r.p_hat), 1.0 / exp.replications) / exp.replications)
-        holds = r.p_hat <= r.chernoff_bound + 3.0 * se
+        holds = r.p_hat <= r.chernoff_bound + MONTE_CARLO_SIGMAS * se
         ok = ok and holds
         details.append(f"n={r.n}: p_hat={r.p_hat:.3g} bound={r.chernoff_bound:.3g}")
     verdicts = (Verdict("chernoff_domination", ok, "; ".join(details)),)

@@ -27,8 +27,20 @@ import numpy as np
 
 from .bandwidth import BandwidthSchedule
 from .densities import Density
-from .kernels import KernelModel, MultiIndex, as_multi_index, kernel_moment, kernel_quadrature
+from .kernels import (
+    KernelModel,
+    as_multi_index,
+    as_points,
+    kernel_moment,
+    kernel_quadrature,
+    norm_moment,
+)
 from .numerics import NeumaierSum, QuadratureError
+
+# kernel evaluations per batch_values block, over observations x grid points
+_BATCH_ENTRIES = 65536
+# two quadrature levels of the exact mean must agree to this absolute gap
+_MEAN_TOL = 1e-9
 
 
 class RecursiveEstimator:
@@ -37,42 +49,29 @@ class RecursiveEstimator:
     def __init__(self, kernel: KernelModel, schedule: BandwidthSchedule, grid, alpha=None):
         self.kernel = kernel
         self.schedule = schedule
-        self.alpha = as_multi_index(
-            alpha if alpha is not None else (0,) * kernel.dimension, kernel.dimension
-        )
+        self.alpha = as_multi_index(alpha, kernel.dimension)
         schedule.check_compatible(kernel.dimension, self.alpha.order)
-        pts = np.asarray(grid, dtype=np.float64)
-        if kernel.dimension == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
-            pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[1] != kernel.dimension:
-            raise ValueError(
-                f"grid must be (m, {kernel.dimension}), got shape {pts.shape}"
-            )
-        self.grid = pts
+        self.grid, _ = as_points(grid, kernel.dimension)
+        # resolved once: update() runs per observation
+        self._kernel_fn = kernel.partial_fn(self.alpha)
         self._power = kernel.dimension + self.alpha.order
-        self._sum = NeumaierSum(shape=(len(pts),))
+        self._sum = NeumaierSum(shape=(len(self.grid),))
         self.count = 0
 
     def reset(self) -> None:
         self._sum = NeumaierSum(shape=(len(self.grid),))
         self.count = 0
 
-    def _term(self, x, index: int) -> np.ndarray:
-        h = self.schedule.h(index)
-        z = (self.grid - x) / h
-        return self.kernel.deriv_eval(self.alpha, z) / h**self._power
-
     def update(self, x) -> None:
         """Fold in one observation; O(grid size), independent of history."""
         x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
         self.count += 1
-        self._sum.add(self._term(x, self.count))
+        h = self.schedule.h(self.count)
+        self._sum.add(self._kernel_fn((self.grid - x) / h) / h**self._power)
 
     def update_batch(self, X) -> None:
         """Fold in rows of X in order (order matters; see module docstring)."""
-        X = np.asarray(X, dtype=np.float64)
-        if self.kernel.dimension == 1 and X.ndim == 1:
-            X = X.reshape(-1, 1)
+        X, _ = as_points(X, self.kernel.dimension)
         for row in X:
             self.update(row)
 
@@ -89,7 +88,6 @@ def batch_values(
     X,
     grid,
     alpha=None,
-    chunk: int = 65536,
 ) -> np.ndarray:
     """Whole-sample evaluation of the estimator, vectorised over observations.
 
@@ -97,21 +95,17 @@ def batch_values(
     RecursiveEstimator; computed by a different summation route, so tests
     can compare the two.
     """
-    mi = as_multi_index(alpha if alpha is not None else (0,) * kernel.dimension, kernel.dimension)
+    mi = as_multi_index(alpha, kernel.dimension)
     schedule.check_compatible(kernel.dimension, mi.order)
-    X = np.asarray(X, dtype=np.float64)
-    if kernel.dimension == 1 and X.ndim == 1:
-        X = X.reshape(-1, 1)
-    pts = np.asarray(grid, dtype=np.float64)
-    if kernel.dimension == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
-        pts = pts.reshape(-1, 1)
+    X, _ = as_points(X, kernel.dimension)
+    pts, _ = as_points(grid, kernel.dimension)
     n, d = X.shape
     if n == 0:
         raise ValueError("empty sample")
     hs = schedule.values(n)
     power = d + mi.order
     acc = NeumaierSum(shape=(len(pts),))
-    step = max(1, chunk // max(len(pts), 1))
+    step = max(1, _BATCH_ENTRIES // max(len(pts), 1))
     for i0 in range(0, n, step):
         hb = hs[i0 : i0 + step]
         z = (pts[None, :, :] - X[i0 : i0 + step, None, :]) / hb[:, None, None]
@@ -128,19 +122,17 @@ def expected_estimate(
     n: int,
     points,
     alpha=None,
-    tol: float = 1e-9,
 ) -> np.ndarray:
     """Exact mean (1/n) sum_i int K(y) g(x - h_i y) dy with g the alpha-partial of f.
 
     Integrating the kernel against the shifted density in the substituted
     variable keeps every factor bounded (no h^-|alpha| appears).  The
-    kernel-support quadrature is refined once; disagreement beyond `tol`
-    raises QuadratureError rather than returning a doubtful mean.
+    kernel-support quadrature is refined once; disagreement beyond
+    `_MEAN_TOL` raises QuadratureError rather than returning a doubtful mean.
+    Returns one value per point, shape (m,).
     """
-    mi = as_multi_index(alpha if alpha is not None else (0,) * kernel.dimension, kernel.dimension)
-    pts = np.asarray(points, dtype=np.float64)
-    if kernel.dimension == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
-        pts = pts.reshape(-1, 1)
+    mi = as_multi_index(alpha, kernel.dimension)
+    pts, _ = as_points(points, kernel.dimension)
     if n < 1:
         raise ValueError("n must be >= 1")
     hs = schedule.values(n)
@@ -159,11 +151,11 @@ def expected_estimate(
             g = g.reshape(len(hb), len(y), len(pts))
             acc.add(np.einsum("k,bkm->m", wk, g))
         val = acc.total / n
-        if out is not None and float(np.max(np.abs(val - out))) <= tol:
+        if out is not None and float(np.max(np.abs(val - out))) <= _MEAN_TOL:
             return val
         out = val
     raise QuadratureError(
-        f"mean-estimate quadrature did not stabilise to {tol:g} after refinement"
+        f"mean-estimate quadrature did not stabilise to {_MEAN_TOL:g} after refinement"
     )
 
 
@@ -191,9 +183,8 @@ def decompose(
     The deviation theory applies to the fluctuation part; the bias part is
     deterministic and has its own normalized limit (see bias_ratio_limit).
     """
-    mi = as_multi_index(alpha if alpha is not None else (0,) * kernel.dimension, kernel.dimension)
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0] if X.ndim > 1 else len(X)
+    mi = as_multi_index(alpha, kernel.dimension)
+    n = len(as_points(X, kernel.dimension)[0])
     est = batch_values(kernel, schedule, X, points, alpha=mi.components)
     mean = expected_estimate(kernel, schedule, density, n, points, alpha=mi.components)
     target = density.partial(mi.components, points)
@@ -223,16 +214,14 @@ def bias_ratio_limit(kernel: KernelModel, density: Density, q: int, points, alph
     plain density estimate with q = 2.
     """
     d = kernel.dimension
-    mi = as_multi_index(alpha if alpha is not None else (0,) * d, d)
-    pts = np.asarray(points, dtype=np.float64)
+    mi = as_multi_index(alpha, d)
     if d == 1:
         m_q = kernel_moment(kernel, q)
-        g_q = density.partial((mi.components[0] + q,), pts)
+        g_q = density.partial((mi.components[0] + q,), points)
         return ((-1) ** q / math.factorial(q)) * m_q * g_q
     if q != 2:
         raise ValueError("multivariate ratio limits are implemented for q = 2 only")
-    if pts.ndim != 2 or pts.shape[1] != d:
-        raise ValueError(f"points must be (m, {d})")
+    pts, _ = as_points(points, d)
     out = np.zeros(len(pts))
     for j in range(d):
         comps = list(mi.components)
@@ -250,8 +239,6 @@ def bias_sup_bound(kernel: KernelModel, q: int, deriv_sup: float) -> float:
     inequality for each term of the sum separately, hence for all n, not
     only in the limit.
     """
-    from .kernels import norm_moment
-
     if q < 1:
         raise ValueError("q must be >= 1")
     if deriv_sup < 0:

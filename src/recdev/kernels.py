@@ -10,10 +10,17 @@ the support-sign measures themselves.
 Constants with a closed form (L2 norms, low moments, sup norms of the
 gaussian family) are filled analytically; everything else falls back to
 adaptive quadrature with a hard absolute tolerance.
+
+The primitives every other module builds on live here, one helper each:
+`as_points` (the point-shape rule), `as_multi_index` (None is the zero
+index), `tensor_grid` / `tensor_rule` (tensor products of a 1-d rule),
+`scan_sup` (dense scan plus bracketing refinement) and `hermite_phi`
+(derivatives of the standard normal pdf).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -57,15 +64,71 @@ class MultiIndex:
 
 
 def as_multi_index(alpha, dimension: int) -> MultiIndex:
-    if isinstance(alpha, MultiIndex):
-        mi = alpha
-    else:
-        mi = MultiIndex(tuple(alpha))
+    """alpha as a MultiIndex of the given dimension; None is the zero index."""
+    if alpha is None:
+        return MultiIndex((0,) * dimension)
+    mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha))
     if mi.dimension != dimension:
         raise ValueError(
             f"multi-index {mi.components} has dimension {mi.dimension}, kernel has {dimension}"
         )
     return mi
+
+
+def as_points(points, d: int) -> tuple[np.ndarray, tuple]:
+    """(m, d) float64 points plus the leading shape the input had.
+
+    In d = 1 inputs are scalars, so (m,) is m points and only an explicit
+    (m, 1) array is already in point form; in d >= 2 the last axis holds
+    the coordinates, so a (d,) array is one point with leading shape ().
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if d == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
+        pts = pts.reshape(pts.shape + (1,))
+    if pts.ndim == 0 or pts.shape[-1] != d:
+        raise ValueError(f"points have shape {pts.shape}, need a last dimension of {d}")
+    return pts.reshape(-1, d), pts.shape[:-1]
+
+
+def tensor_grid(x: np.ndarray, d: int) -> np.ndarray:
+    """Every d-tuple of the 1-d nodes x, as (len(x)**d, d) with the last axis fastest."""
+    return np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def tensor_rule(x: np.ndarray, w: np.ndarray, d: int):
+    """The tensor-product rule (points (m, d), weights (m,)) of the 1-d rule (x, w)."""
+    ws = np.ones(len(x) ** d)
+    for wj in tensor_grid(w, d).T:
+        ws *= wj
+    return tensor_grid(x, d), ws
+
+
+def scan_sup(f, lo: float, hi: float, num: int) -> float:
+    """sup |f| on [lo, hi]: the largest of `num` even samples, refined by bracketing.
+
+    Sixty rounds of a 9-point scan around the running maximum shrink the
+    bracket by 4x each, far below float spacing; f maps a 1-d array to values.
+    """
+    x = np.linspace(lo, hi, num)
+    i = int(np.argmax(np.abs(f(x))))
+    lo, hi = x[max(i - 1, 0)], x[min(i + 1, num - 1)]
+    for _ in range(60):
+        xs = np.linspace(lo, hi, 9)
+        j = int(np.argmax(np.abs(f(xs))))
+        lo, hi = xs[max(j - 1, 0)], xs[min(j + 1, 8)]
+    return float(np.abs(f(np.array([0.5 * (lo + hi)])))[0])
+
+
+def hermite_phi(k: int, x) -> np.ndarray:
+    """phi^(k)(x) = (-1)^k He_k(x) phi(x), with He_k the probabilists' Hermite polynomial."""
+    phi = np.exp(-0.5 * x * x) / SQRT_2PI
+    if k == 0:
+        return phi
+    he_prev = np.ones_like(x)
+    he = np.array(x, dtype=float, copy=True)
+    for j in range(1, k):
+        he_prev, he = he, x * he - j * he_prev
+    return ((-1.0) ** k) * he * phi
 
 
 class _Profile:
@@ -100,14 +163,7 @@ class _GaussianProfile(_Profile):
         return np.exp(-0.5 * x * x) / SQRT_2PI
 
     def derivative(self, k, x):
-        if k == 0:
-            return self.value(x)
-        # phi^(k)(x) = (-1)^k He_k(x) phi(x), probabilists' Hermite
-        he_prev = np.ones_like(x)
-        he = np.asarray(x, dtype=float).copy()
-        for j in range(1, k):
-            he_prev, he = he, x * he - j * he_prev
-        return ((-1.0) ** k) * he * self.value(x)
+        return hermite_phi(k, x)
 
     def moment(self, s):
         if s % 2 == 1:
@@ -202,6 +258,8 @@ class KernelModel:
     for kernels wrapped without derivative support.  The sign-set measures
     are Lebesgue measures of {K > 0} and {K < 0} and drive the branch logic
     of the rate transform, so custom kernels must state them explicitly.
+    Built-in kernels carry the 1-d `profile` they are a product of, which
+    supplies their constants in closed form.
     """
 
     name: str
@@ -209,11 +267,9 @@ class KernelModel:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     deriv_fn: Optional[Callable[[MultiIndex, np.ndarray], np.ndarray]]
     support_radius: float
-    moment_order: int
     positive_support_measure: float
     negative_support_measure: float
     max_derivative_order: int
-    is_product: bool = False
     profile: Optional[_Profile] = None
     _l2_cache: dict = field(default_factory=dict, repr=False)
     _sup_cache: dict = field(default_factory=dict, repr=False)
@@ -228,27 +284,11 @@ class KernelModel:
 
     # -- evaluation ----------------------------------------------------
 
-    def _as_points(self, points) -> tuple[np.ndarray, tuple]:
-        pts = np.asarray(points, dtype=np.float64)
-        if self.dimension == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
-            # d = 1 inputs are scalars; only an explicit (n, 1) array is
-            # already in point form
-            pts = pts.reshape(pts.shape + (1,))
-        if pts.shape[-1] != self.dimension:
-            raise ValueError(
-                f"points have last dimension {pts.shape[-1]}, kernel needs {self.dimension}"
-            )
-        lead = pts.shape[:-1]
-        return pts.reshape(-1, self.dimension), lead
-
-    def eval(self, points):
-        pts, lead = self._as_points(points)
-        return self.eval_fn(pts).reshape(lead)
-
-    def deriv_eval(self, alpha, points):
+    def partial_fn(self, alpha) -> Callable[[np.ndarray], np.ndarray]:
+        """d^alpha K as a function of an (n, d) array, validated once here."""
         mi = as_multi_index(alpha, self.dimension)
         if mi.order == 0:
-            return self.eval(points)
+            return self.eval_fn
         if mi.order > self.max_derivative_order:
             raise ValueError(
                 f"kernel '{self.name}' supports derivatives up to order "
@@ -256,14 +296,22 @@ class KernelModel:
             )
         if self.deriv_fn is None:
             raise ValueError(f"kernel '{self.name}' has no derivative implementation")
-        pts, lead = self._as_points(points)
-        return self.deriv_fn(mi, pts).reshape(lead)
+        return functools.partial(self.deriv_fn, mi)
+
+    def eval(self, points):
+        pts, lead = as_points(points, self.dimension)
+        return self.eval_fn(pts).reshape(lead)
+
+    def deriv_eval(self, alpha, points):
+        fn = self.partial_fn(alpha)
+        pts, lead = as_points(points, self.dimension)
+        return fn(pts).reshape(lead)
 
     # -- constants -----------------------------------------------------
 
     def sup_norm(self, alpha=None) -> float:
         """sup |d^alpha K|, from closed forms where known, else a grid scan."""
-        mi = self._alpha_or_zero(alpha)
+        mi = as_multi_index(alpha, self.dimension)
         key = mi.components
         if key not in self._sup_cache:
             self._sup_cache[key] = self._compute_sup(mi)
@@ -271,39 +319,33 @@ class KernelModel:
 
     def l2_norm_sq(self, alpha=None) -> float:
         """integral of (d^alpha K)^2 over R^d."""
-        mi = self._alpha_or_zero(alpha)
+        mi = as_multi_index(alpha, self.dimension)
         key = mi.components
         if key not in self._l2_cache:
             self._l2_cache[key] = self._compute_l2(mi)
         return self._l2_cache[key]
 
-    def _alpha_or_zero(self, alpha) -> MultiIndex:
-        if alpha is None:
-            return MultiIndex((0,) * self.dimension)
-        return as_multi_index(alpha, self.dimension)
-
     def _compute_sup(self, mi: MultiIndex) -> float:
-        if self.is_product and self.profile is not None:
+        d, r = self.dimension, self.support_radius
+        if self.profile is not None:
             out = 1.0
             for aj in mi.components:
                 tab = self.profile.sup_table
                 if aj in tab:
                     out *= tab[aj]
                 else:
-                    out *= _scan_sup(
-                        lambda x, k=aj: self.profile.derivative(k, x),
-                        self.support_radius,
-                    )
+                    out *= scan_sup(lambda x, k=aj: self.profile.derivative(k, x), -r, r, 20001)
             return out
-        if mi.order > self.max_derivative_order:
-            raise ValueError("derivative order beyond kernel smoothness")
-        f = (lambda p: self.eval_fn(p)) if mi.order == 0 else (
-            lambda p: self.deriv_fn(mi, p)
-        )
-        return _scan_sup_nd(f, self.dimension, self.support_radius)
+        f = self.partial_fn(mi)
+        if d == 1:
+            return scan_sup(lambda x: f(x.reshape(-1, 1)), -r, r, 20001)
+        if d > 3:
+            raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
+        mesh = tensor_grid(np.linspace(-r, r, 201 if d == 2 else 41), d)
+        return float(np.max(np.abs(f(mesh))))
 
     def _compute_l2(self, mi: MultiIndex) -> float:
-        if self.is_product and self.profile is not None:
+        if self.profile is not None:
             out = 1.0
             for aj in mi.components:
                 tab = self.profile.l2_table
@@ -317,43 +359,12 @@ class KernelModel:
                         tol=1e-12,
                     )
             return out
-        f = (lambda p: self.eval_fn(p)) if mi.order == 0 else (
-            lambda p: self.deriv_fn(mi, p)
-        )
-        return _tensor_integral(
-            lambda p: f(p) ** 2, self.dimension, self.support_radius
-        )
+        f = self.partial_fn(mi)
+        return _tensor_integral(lambda p: f(p) ** 2, self.dimension, self.support_radius)
 
 
-def _scan_sup(f, radius: float) -> float:
-    """sup |f| on [-radius, radius] by dense scan plus local refinement."""
-    x = np.linspace(-radius, radius, 20001)
-    v = np.abs(f(x))
-    i = int(np.argmax(v))
-    lo = x[max(i - 1, 0)]
-    hi = x[min(i + 1, len(x) - 1)]
-    for _ in range(60):
-        xs = np.linspace(lo, hi, 9)
-        vs = np.abs(f(xs))
-        j = int(np.argmax(vs))
-        lo = xs[max(j - 1, 0)]
-        hi = xs[min(j + 1, len(xs) - 1)]
-    return float(np.abs(f(np.array([0.5 * (lo + hi)])))[0])
-
-
-def _scan_sup_nd(f, d: int, radius: float) -> float:
-    if d == 1:
-        return _scan_sup(lambda x: f(x.reshape(-1, 1)), radius)
-    if d > 3:
-        raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
-    n = 201 if d == 2 else 41
-    axes = [np.linspace(-radius, radius, n)] * d
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return float(np.max(np.abs(f(mesh))))
-
-
-def _tensor_integral(f, d: int, radius: float, tol: float = 1e-10) -> float:
-    """Tensor Gauss-Legendre integral over [-radius, radius]^d with doubling check."""
+def _tensor_integral(f, d: int, radius: float) -> float:
+    """Tensor Gauss-Legendre integral over [-radius, radius]^d to 1e-10 by panel doubling."""
     if d > 3:
         raise ValueError(
             "tensor quadrature beyond d = 3 is not supported; "
@@ -362,21 +373,16 @@ def _tensor_integral(f, d: int, radius: float, tol: float = 1e-10) -> float:
     prev = None
     for level in range(6):
         panels = (4 if radius > 2 else 2) * 2**level
-        x, w = gauss_legendre_panels(-radius, radius, panels, order=12)
-        grids = np.meshgrid(*([x] * d), indexing="ij")
-        pts = np.stack(grids, axis=-1).reshape(-1, d)
-        ws = np.ones(len(pts))
-        for wm in np.meshgrid(*([w] * d), indexing="ij"):
-            ws *= wm.reshape(-1)
+        pts, ws = tensor_rule(*gauss_legendre_panels(-radius, radius, panels, order=12), d)
         val = float(np.dot(ws, f(pts)))
-        if prev is not None and abs(val - prev) <= tol:
+        if prev is not None and abs(val - prev) <= 1e-10:
             return val
         prev = val
-    raise QuadratureError(f"tensor integral did not converge to {tol:g} in d={d}")
+    raise QuadratureError(f"tensor integral did not converge to 1e-10 in d={d}")
 
 
-def kernel_quadrature(model: KernelModel, level: int = 0, order: int = 16):
-    """Tensor Gauss-Legendre nodes/weights over the kernel's support box.
+def kernel_quadrature(model: KernelModel, level: int = 0):
+    """Tensor Gauss-Legendre nodes/weights (16 per panel) over the kernel's support box.
 
     Returns (points (m, d), weights (m,)); `level` doubles the panel count,
     so integrals evaluated at consecutive levels give an error estimate.
@@ -385,16 +391,7 @@ def kernel_quadrature(model: KernelModel, level: int = 0, order: int = 16):
         raise ValueError("tensor quadrature beyond d = 3 is not supported")
     r = model.support_radius
     panels = max(2, int(np.ceil(r))) * 2**level
-    x, w = gauss_legendre_panels(-r, r, panels, order=order)
-    d = model.dimension
-    if d == 1:
-        return x.reshape(-1, 1), w
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, d)
-    ws = np.ones(len(pts))
-    for wm in np.meshgrid(*([w] * d), indexing="ij"):
-        ws *= wm.reshape(-1)
-    return pts, ws
+    return tensor_rule(*gauss_legendre_panels(-r, r, panels, order=16), model.dimension)
 
 
 def builtin_kernel(name: str, d: int = 1) -> KernelModel:
@@ -429,29 +426,22 @@ def builtin_kernel(name: str, d: int = 1) -> KernelModel:
         eval_fn=eval_fn,
         deriv_fn=deriv_fn,
         support_radius=profile.radius,
-        moment_order=2,
         positive_support_measure=pos,
         negative_support_measure=0.0,
         max_derivative_order=profile.max_order,
-        is_product=True,
         profile=profile,
     )
 
 
-def kernel_moment(model: KernelModel, s: int, axis: int = 0, absolute: bool = False) -> float:
-    """integral of y_axis^s K(y) dy (or of y_axis^s |K(y)| with absolute=True)."""
+def kernel_moment(model: KernelModel, s: int, axis: int = 0) -> float:
+    """integral of y_axis^s K(y) dy."""
     if s < 0:
         raise ValueError("moment order must be >= 0")
     if axis < 0 or axis >= model.dimension:
         raise ValueError(f"axis {axis} out of range for d={model.dimension}")
-    if model.is_product and model.profile is not None:
-        if not absolute or model.negative_support_measure == 0.0:
-            return model.profile.moment(s)
-
-    if absolute:
-        f = lambda p: np.abs(model.eval_fn(p)) * p[:, axis] ** s
-    else:
-        f = lambda p: model.eval_fn(p) * p[:, axis] ** s
+    if model.profile is not None:
+        return model.profile.moment(s)
+    f = lambda p: model.eval_fn(p) * p[:, axis] ** s
     return _tensor_integral(f, model.dimension, model.support_radius)
 
 
@@ -476,10 +466,7 @@ def finite_difference_check(model: KernelModel, alpha, points, h: float = 1e-3) 
         raise ValueError("finite-difference check needs |alpha| >= 1")
     axis = next(j for j, aj in enumerate(mi.components) if aj > 0)
     lower = mi.lowered(axis)
-    pts = np.asarray(points, dtype=np.float64)
-    if model.dimension == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts.reshape(-1, 1)
-    pts = pts.reshape(-1, model.dimension)
+    pts, _ = as_points(points, model.dimension)
     shift = np.zeros(model.dimension)
     shift[axis] = h
     fd = (model.deriv_eval(lower, pts + shift) - model.deriv_eval(lower, pts - shift)) / (

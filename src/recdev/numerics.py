@@ -106,22 +106,17 @@ def integrate_to_tol(
     b: float,
     *,
     tol: float = 1e-10,
-    singular: bool = False,
     max_level: int = 9,
 ) -> float:
     """Integrate a vectorised callable on [a, b] to absolute tolerance.
 
-    Refines through levels until two consecutive levels agree within `tol`;
-    raises QuadratureError if the budget runs out.  `singular=True` selects
-    tanh-sinh nodes (endpoint singularities allowed), otherwise composite
-    Gauss-Legendre panels are used.
+    Composite Gauss-Legendre panels are doubled until two consecutive
+    levels agree within `tol`; raises QuadratureError if the budget runs
+    out.  For endpoint singularities use `tanh_sinh` nodes directly.
     """
     prev = None
     for level in range(max_level + 1):
-        if singular:
-            x, w = tanh_sinh(a, b, level + 3)
-        else:
-            x, w = gauss_legendre_panels(a, b, 2**level, order=16)
+        x, w = gauss_legendre_panels(a, b, 2**level, order=16)
         val = float(np.dot(w, f(x)))
         if prev is not None and abs(val - prev) <= tol:
             return val

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import ScalingSequence
-from .kernels import KernelModel, MultiIndex, as_multi_index
+from .kernels import KernelModel, MultiIndex, as_multi_index, tensor_rule
 from .numerics import (
     EXP_ARG_LIMIT,
     QuadratureError,
@@ -86,6 +86,12 @@ def _min_rate(x: RateValue, y: RateValue) -> RateValue:
     return x if x.value <= y.value else y
 
 
+# two consecutive levels of psi, psi' or psi'' must agree to this absolute
+# gap, within at most this many levels
+_PSI_TOL = 1e-10
+_MAX_LEVEL = 4
+# psi'(u) = t is solved to this absolute residual (plus a 4-ulp cushion)
+_ROOT_TOL = 1e-10
 # s x z argument matrices up to this many entries (16 MB) are cached per
 # level, which covers d = 1 up to level 3; larger ones are rebuilt block by
 # block on every call, so memory stays flat in d
@@ -100,16 +106,16 @@ class PsiEvaluator:
     """Evaluates psi, psi', psi'' and the conjugate transform for one kernel.
 
     Every call escalates from level 0 until two consecutive levels agree
-    within `tol` (checked on probe points for vectorised calls) and returns
+    within `_PSI_TOL` (checked on probe points for vectorised calls) and returns
     the finer of the two, so a value depends on its input alone, never on
     earlier calls.  Node tables are cached per level, and the s x z argument
     matrix too while it stays under `_ARG_CACHE_CAP` entries; larger levels
-    rebuild it block by block on every call.  Exhausting the level budget
-    raises QuadratureError; exp arguments beyond the 700 guard raise
+    rebuild it block by block on every call.  Exhausting the `_MAX_LEVEL`
+    budget raises QuadratureError; exp arguments beyond the 700 guard raise
     OverflowGuardError before any overflow happens.
     """
 
-    def __init__(self, kernel: KernelModel, a: float, *, tol: float = 1e-10, max_level: int = 4):
+    def __init__(self, kernel: KernelModel, a: float):
         if kernel.dimension > 3:
             raise ValueError("psi quadrature supports d <= 3")
         self.kernel = kernel
@@ -117,8 +123,6 @@ class PsiEvaluator:
         self.ad = self.a * kernel.dimension
         if not (0.0 <= self.ad < 1.0):
             raise ValueError(f"need 0 <= a*d < 1, got a*d = {self.ad}")
-        self.tol = tol
-        self.max_level = max_level
         self._levels: dict[int, dict] = {}
         # exp-argument extremes per unit u, for the overflow guard; only
         # the positive side can overflow (the negative side underflows to 0)
@@ -140,16 +144,7 @@ class PsiEvaluator:
         # the O(1/|u|) boundary layer of exp(u s^ad K c) for compactly
         # supported kernels stays resolved at any u inside the exp guard
         z_level = {1: 4 + level, 2: 3 + level}.get(d, min(2 + level, 4))
-        x, wx = tanh_sinh(-r, r, z_level)
-        if d == 1:
-            z = x.reshape(-1, 1)
-            wz = wx
-        else:
-            grids = np.meshgrid(*([x] * d), indexing="ij")
-            z = np.stack(grids, axis=-1).reshape(-1, d)
-            wz = np.ones(len(z))
-            for wm in np.meshgrid(*([wx] * d), indexing="ij"):
-                wz *= wm.reshape(-1)
+        z, wz = tensor_rule(*tanh_sinh(-r, r, z_level), d)
         kz = self.kernel.eval_fn(z)
         sad = s**self.ad
         c = 1.0 / (1.0 - self.ad)
@@ -215,12 +210,12 @@ class PsiEvaluator:
         while True:
             hi = self._eval_level(probes, level + 1, kinds)
             err = float(np.max(np.abs(hi - lo)))
-            if err <= self.tol:
+            if err <= _PSI_TOL:
                 break
             level += 1
-            if level + 1 > self.max_level:
+            if level + 1 > _MAX_LEVEL:
                 raise QuadratureError(
-                    f"psi tensor rule did not reach abs tol {self.tol:g} "
+                    f"psi tensor rule did not reach abs tol {_PSI_TOL:g} "
                     f"(last two-level delta {err:.3g})"
                 )
             lo = hi
@@ -250,10 +245,10 @@ class PsiEvaluator:
     def signed_kernel(self) -> bool:
         return self.kernel.negative_support_measure > 0.0
 
-    def inverse_prime(self, t: float, *, root_tol: float = 1e-10) -> float:
+    def inverse_prime(self, t: float) -> float:
         """Solve psi'(u) = t by bracketed Newton with bisection fallback.
 
-        Terminates when |psi'(u) - t| <= root_tol (plus a 4-ulp relative
+        Terminates when |psi'(u) - t| <= `_ROOT_TOL` (plus a 4-ulp relative
         cushion so very large targets remain solvable).  Raises
         RootFindError if the bracket search or the iteration exhausts its
         budget, and ValueError for targets outside the range of psi'.
@@ -264,7 +259,7 @@ class PsiEvaluator:
                 "psi' has range (0, inf) for kernels with no negative part; "
                 f"target {t} is outside"
             )
-        tol = root_tol + 4.0 * abs(t) * np.finfo(float).eps
+        tol = _ROOT_TOL + 4.0 * abs(t) * np.finfo(float).eps
         t0 = self.prime_at_zero
         if abs(t0 - t) <= tol:
             return 0.0

@@ -335,6 +335,29 @@ def test_broken_json_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sub,fields,message",
+    [
+        # a derivative sup is only computed for 1-d densities; 2-d needs m_q
+        ("bias", dict(dimension=2, kernel="epanechnikov", bandwidth_a=0.2,
+                      density_mean=[0.0, 0.0], density_sigma=[1.0, 1.0],
+                      point=[0.0, 0.0], n_list=[20, 40]),
+         "derivative sup is implemented for d = 1 only"),
+        # the Chernoff curve needs f(x) > 0, and the point lies outside the box
+        ("chernoff", dict(density="uniform_box", density_low=[0.0], density_high=[1.0],
+                          point=[2.0], n_list=[20, 40], replications=50),
+         "needs f(x) > 0"),
+    ],
+)
+def test_usage_error_at_run_time_exits_two(tmp_path, capsys, sub, fields, message):
+    path = _write_cfg(tmp_path, **fields)
+    rc = cli.main([sub, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ValueError" in err and message in err
+    assert not (tmp_path / "o" / f"{sub}.csv").exists()
+
+
 def test_underpowered_run_exits_three(tmp_path, capsys):
     path = _write_cfg(
         tmp_path, bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,

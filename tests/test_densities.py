@@ -148,3 +148,31 @@ def test_point_shape_contract():
     g = GaussianDensity(mean=[0.0, 0.0], sigma=[1.0, 1.0])
     assert g.pdf(np.array([0.3, 0.4])).shape == ()  # one 2-d point
     assert g.pdf(np.array([[0.3, 0.4]])).shape == (1,)
+    x = np.array([-0.2, 0.3, 0.9])
+    for h in (
+        f,
+        GaussianMixtureDensity([0.4, 0.6], [[-1.0], [1.0]], [[0.5], [1.0]]),
+        UniformBoxDensity(low=[0.0], high=[1.0]),
+    ):
+        assert_allclose(h.pdf(x), h.pdf(x.reshape(-1, 1)), rtol=0, atol=0)
+        assert_allclose(h.partial((0,), x), h.pdf(x), rtol=0, atol=0)
+        assert h.pdf(0.3).shape == ()
+    pts = np.array([[0.3, 0.4], [-1.0, 2.0]])
+    assert_allclose(g.pdf(pts[0]), g.pdf(pts)[0], rtol=0, atol=0)
+    assert g.pdf(pts.reshape(1, 2, 2)).shape == (1, 2)
+    with pytest.raises(ValueError):
+        g.pdf(np.array([[0.3], [0.4]]))
+
+
+def test_densities_compare_by_identity_and_hash():
+    a = GaussianDensity(mean=[0.0], sigma=[1.0])
+    assert a == a
+    assert a != GaussianDensity(mean=[5.0], sigma=[2.0])
+    assert a != GaussianDensity(mean=[0.0], sigma=[1.0])
+    for f in (
+        a,
+        GaussianMixtureDensity([1.0], [[0.0]], [[1.0]]),
+        UniformBoxDensity(low=[0.0], high=[1.0]),
+    ):
+        assert {f: 1}[f] == 1
+        assert hash(f) == hash(f)

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from recdev.bandwidth import BandwidthSchedule, ScalingSequence
+from recdev.cgf import CgfSpec
+from recdev.densities import GaussianDensity
+from recdev.deviations import DeviationExperiment
+from recdev.estimator import RecursiveEstimator, batch_values, expected_estimate
 from recdev.kernels import (
     MultiIndex,
     as_multi_index,
+    as_points,
     builtin_kernel,
     finite_difference_check,
     kernel_moment,
@@ -111,6 +117,7 @@ def test_multi_index_validation():
         as_multi_index((1,), 2)
     with pytest.raises(ValueError):
         as_multi_index((-1, 0), 2)
+    assert as_multi_index(None, 3).components == (0, 0, 0)
 
 
 @given(st.sampled_from(KERNEL_NAMES), st.floats(min_value=-3.0, max_value=3.0))
@@ -133,3 +140,67 @@ def test_point_shape_handling_one_dimension():
     assert single.shape == (1,)
     assert batch.shape == (2,)
     assert_allclose(batch, column)
+    assert_allclose(k.eval(0.5), single[0])  # a scalar is one point, shape ()
+    assert k.eval(0.5).shape == ()
+
+
+def test_as_points_rule():
+    pts, lead = as_points(0.5, 1)
+    assert pts.shape == (1, 1) and lead == ()
+    pts, lead = as_points(np.zeros((4, 3)), 1)  # d = 1: every entry is a point
+    assert pts.shape == (12, 1) and lead == (4, 3)
+    pts, lead = as_points(np.zeros((4, 1)), 1)
+    assert pts.shape == (4, 1) and lead == (4,)
+    pts, lead = as_points([0.1, 0.2], 2)  # d = 2: one point
+    assert pts.shape == (1, 2) and lead == ()
+    pts, lead = as_points(np.zeros((3, 5, 2)), 2)
+    assert pts.shape == (15, 2) and lead == (3, 5)
+    for bad in (0.5, np.zeros((4, 3)), np.zeros((4, 1))):
+        with pytest.raises(ValueError):
+            as_points(bad, 2)
+
+
+def _entry_point_outputs(d, points):
+    """What each entry point built on as_points makes of the same points."""
+    kernel = builtin_kernel("gaussian", d)
+    density = GaussianDensity(mean=[0.1] * d, sigma=[1.0] * d)
+    schedule = BandwidthSchedule(kind="power", c=0.7, a=0.2)
+    est = RecursiveEstimator(kernel, schedule, points)
+    est.update_batch(points)
+    spec = CgfSpec(
+        kernel=kernel,
+        schedule=schedule,
+        scaling=ScalingSequence(kind="constant_one"),
+        density=density,
+        point=[0.0] * d,
+    )
+    exp = DeviationExperiment(
+        spec=spec, delta=0.3, n_list=(10,), replications=1, rng_seed=0, region=points
+    )
+    return {
+        "grid": est.grid,
+        "stream": est.values(),
+        "batch_X": batch_values(kernel, schedule, points, np.zeros((1, d))),
+        "batch_grid": batch_values(kernel, schedule, np.zeros((3, d)), points),
+        "mean": expected_estimate(kernel, schedule, density, 5, points),
+        "region": exp.region,
+    }
+
+
+@pytest.mark.parametrize(
+    "d,shapes", [(1, [(4,), (4, 1)]), (2, [(4, 2)])]
+)
+def test_point_shape_rule_at_every_entry_point(d, shapes):
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(4, d))
+    ref = _entry_point_outputs(d, base)
+    assert ref["grid"].shape == ref["region"].shape == (4, d)
+    assert ref["stream"].shape == ref["batch_grid"].shape == ref["mean"].shape == (4,)
+    for shape in shapes:
+        got = _entry_point_outputs(d, base.reshape(shape))
+        for key, value in ref.items():
+            assert_allclose(got[key], value, rtol=0, atol=0, err_msg=f"{key} at {shape}")
+    if d == 2:  # a single (d,) point is a one-point grid
+        one = _entry_point_outputs(d, base[0])
+        assert one["grid"].shape == one["region"].shape == (1, 2)
+        assert_allclose(one["mean"], ref["mean"][:1], rtol=1e-12)

@@ -318,7 +318,6 @@ def _signed_kernel():
         eval_fn=eval_fn,
         deriv_fn=None,
         support_radius=1.0,
-        moment_order=2,
         positive_support_measure=math.sqrt(2.0),
         negative_support_measure=2.0 - math.sqrt(2.0),
         max_derivative_order=0,
