@@ -13,6 +13,14 @@ The key limit: for a*beta < 1,
 which `regular_variation_limit_check` tabulates.  Its convergence speed
 degrades badly as a*beta approaches 1 (the error decays like n^(a*beta - 1)
 with a constant that blows up), so treat slow cases as trends, not values.
+
+`bandwidth_sum` forms every other deterministic sum over the sequence,
+sum_{i<=n} F(h_i) for a smooth F of the bandwidth alone (the exact mean of
+the estimator, the finite-n cumulant).  It interpolates F in log h at
+Chebyshev-Lobatto points and sums the interpolant exactly against the
+Chebyshev moments of the sequence, so the number of F evaluations does not
+grow with n; a disagreement between degrees N and 2N above `SUM_TOL` sends
+it back to the direct O(n) sum.
 """
 
 from __future__ import annotations
@@ -22,9 +30,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import compensated_cumsum
+from .numerics import NeumaierSum, compensated_cumsum
 
 _KINDS = ("power", "power_log")
+# a Chebyshev sum is accepted when degrees N and 2N agree to this gap on the
+# caller's scale (the mean, the cumulant), relative once that exceeds 1
+SUM_TOL = 1e-13
+# first Chebyshev degree compared with its doubling, and the largest tried
+_CHEB_START = 16
+_CHEB_MAX = 512
+# entries of the temporaries F may build for one block of bandwidths
+SUM_BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass
@@ -32,14 +48,15 @@ class BandwidthSchedule:
     """h_i = c * i^-a, optionally with a log(i + 1) factor.
 
     Treat instances as immutable; the only mutable state is the prefix-sum
-    cache, which is grown under a lock and never shrinks, so concurrent
-    reads are safe.
+    and Chebyshev-moment caches, which are grown under a lock and never
+    shrink, so concurrent reads are safe.
     """
 
     kind: str
     c: float
     a: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _moments: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,6 +112,108 @@ class BandwidthSchedule:
 
     def prefix_sum(self, beta: float, n: int) -> float:
         return float(self.prefix_sums(beta, n)[-1])
+
+    # -- Chebyshev moments -----------------------------------------------
+
+    def _log_range(self, n: int) -> tuple:
+        """(min, max) of log h_i over i <= n; power_log schedules are not monotone."""
+        logs = np.log(self.values(n))
+        return float(logs.min()), float(logs.max())
+
+    def chebyshev_moments(self, n: int, degree: int) -> np.ndarray:
+        """mu_j = sum_{i<=n} T_j(t_i) for j = 0..degree (cached per n).
+
+        t_i maps log h_i affinely onto [-1, 1] over the range of log h_i; the T_j
+        come from the three-term recurrence.  A larger degree recomputes
+        from j = 0, so every mu_j is the same whatever was asked before.
+        """
+        mu = self._moments.get(n)
+        if mu is None or len(mu) <= degree:
+            with self._lock:
+                mu = self._moments.get(n)
+                if mu is None or len(mu) <= degree:
+                    lo, hi = self._log_range(n)
+                    t = np.clip((2.0 * np.log(self.values(n)) - (lo + hi)) / (hi - lo), -1.0, 1.0)
+                    mu = np.empty(degree + 1)
+                    mu[0] = n
+                    prev, cur = np.ones(n), t
+                    for j in range(1, degree + 1):
+                        mu[j] = cur.sum()
+                        prev, cur = cur, 2.0 * t * cur - prev
+                    self._moments[n] = mu
+        return mu[: degree + 1]
+
+
+def _chebyshev_terms(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """c_j mu_j, j = 0..N, for the interpolant through values at cos(pi k / N), k = 0..N."""
+    deg = len(vals) - 1
+    # Chebyshev coefficients by the DCT-I of the samples, via the even extension
+    coef = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]]), axis=0).real / deg
+    coef[0] *= 0.5
+    coef[deg] *= 0.5
+    return coef * mu[: deg + 1].reshape((-1,) + (1,) * (coef.ndim - 1))
+
+
+def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weight: float):
+    """weight * sum_{i<=n} F(h_i) for F = `terms`, which maps an array of
+    bandwidths to rows (len(h), ...), one row per bandwidth.
+
+    F is sampled at Chebyshev-Lobatto points t = cos(pi k / N) of log h
+    mapped onto [-1, 1]; the points nest, so each doubling of N reuses
+    every earlier sample.  The interpolant's coefficients, summed against
+    `BandwidthSchedule.chebyshev_moments`, give the sum.  It is accepted
+    when the weighted sums of degrees N and 2N agree to `SUM_TOL` (relative
+    once they exceed 1), and the degree-2N value is returned.  F is
+    evaluated at every h_i directly (blocked, compensated) when n is too
+    small for the interpolant to save work, or when the certificate fails
+    before the samples reach n/2, so no input costs more than about 1.5
+    direct sums.
+
+    `entries` is the size of F's temporaries per bandwidth; F is called on
+    blocks of at most SUM_BLOCK_ENTRIES / entries bandwidths.  Each row of
+    F must depend on its own bandwidth alone, so results do not depend on
+    the blocking.
+    """
+    step = max(1, SUM_BLOCK_ENTRIES // max(entries, 1))
+
+    def evaluate(h: np.ndarray) -> np.ndarray:
+        return np.concatenate([terms(h[i : i + step]) for i in range(0, len(h), step)])
+
+    deg = 2 * _CHEB_START
+    if n >= 2 * (deg + 1):
+        lo, hi = schedule._log_range(n)
+        if hi == lo:  # constant schedule: every term is the same
+            return weight * n * terms(schedule.values(1))[0]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+        def sample(k, of):
+            return evaluate(np.exp(mid + half * np.cos(np.pi * k / of)))
+
+        vals = sample(np.arange(deg + 1), deg)
+        while True:
+            mu = schedule.chebyshev_moments(n, deg)
+            coarse = weight * _chebyshev_terms(vals[::2], mu).sum(axis=0)
+            terms_fine = weight * _chebyshev_terms(vals, mu)
+            fine = terms_fine.sum(axis=0)
+            # the upper half of the terms is counted unsigned, so a jump in F
+            # whose terms cancel in the signed gap still fails
+            gap = np.maximum(np.abs(fine - coarse), np.abs(terms_fine[deg // 2 + 1 :]).sum(axis=0))
+            if np.max(gap) <= SUM_TOL * max(1.0, float(np.max(np.abs(fine)))):
+                return fine
+            if 2 * deg > _CHEB_MAX or 2 * deg + 1 > n // 2:
+                break
+            new = np.empty((2 * deg + 1,) + vals.shape[1:])
+            new[::2] = vals
+            new[1::2] = sample(np.arange(1, 2 * deg, 2), 2 * deg)
+            vals, deg = new, 2 * deg
+    hs = schedule.values(n)
+    acc = None
+    for i0 in range(0, n, step):
+        part = terms(hs[i0 : i0 + step]).sum(axis=0)
+        if acc is None:
+            acc = NeumaierSum(shape=np.shape(part))
+        acc.add(part)
+    return weight * acc.total
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ density localized by the kernel support,
 
 which is evaluated by kernel-support quadrature.  The centring term uses
 the integrated-by-parts form int K(z) (d^alpha f)(x - h_i z) dz, which has
-no h^-|alpha| amplification.
+no h^-|alpha| amplification; it is computed once per n and kept on the
+`CgfSpec`.  Each factor depends on i only through h_i, so the sum over
+i <= n is `bandwidth.bandwidth_sum` (a Chebyshev interpolant in log h,
+certified by two degrees, or the direct sum), and the two quadrature
+levels must agree before a value is returned.
 
 L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
@@ -33,10 +37,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import BandwidthSchedule, ScalingSequence, speed
+from .bandwidth import BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
-from .numerics import NeumaierSum, QuadratureError, check_exp_bound
+from .numerics import QuadratureError, check_exp_bound
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator
 
@@ -55,6 +59,7 @@ class CgfSpec:
     point: np.ndarray
     alpha: tuple = None
     _psi: Optional[PsiEvaluator] = field(default=None, repr=False)
+    _means: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.kernel.dimension
@@ -76,6 +81,17 @@ class CgfSpec:
     def density_at_point(self) -> float:
         return float(self.density.pdf(self.point.reshape(1, -1))[0])
 
+    def mean(self, n: int) -> float:
+        """Exact mean E f_n at the point, computed once per n."""
+        if n not in self._means:
+            self._means[n] = float(
+                expected_estimate(
+                    self.kernel, self.schedule, self.density, n, self.point.reshape(1, -1),
+                    alpha=self.alpha.components,
+                )[0]
+            )
+        return self._means[n]
+
     def psi(self) -> PsiEvaluator:
         if self._psi is None:
             self._psi = PsiEvaluator(self.kernel, self.schedule.a)
@@ -86,51 +102,47 @@ class CgfSpec:
 
 
 def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.ndarray:
+    """(v_n^2/a_n) sum_i log E exp(theta_i Y_i), one value per u, at one quadrature level."""
     kernel, schedule = spec.kernel, spec.schedule
     d = kernel.dimension
     p = d + spec.alpha.order
-    hs = schedule.values(n)
     v_n = spec.scaling.value(n)
     a_n = schedule.prefix_sum(float(d + 2 * spec.alpha.order), n)
     y, w = kernel_quadrature(kernel, level=level)
     ky = kernel.deriv_eval(spec.alpha, y)
     # theta_i is largest at the smallest bandwidth; guard before any exp
     theta_scale = a_n / (n * v_n)
-    max_theta = float(np.max(np.abs(u))) * theta_scale / float(np.min(hs)) ** p
+    max_theta = float(np.max(np.abs(u))) * theta_scale / float(np.min(schedule.values(n))) ** p
     check_exp_bound(max_theta * float(np.max(np.abs(ky))), "finite-n cumulant")
 
-    acc = NeumaierSum(shape=(len(u),))
-    step = max(1, int(2_000_000 // max(len(y), 1)))
-    for i0 in range(0, n, step):
-        hb = hs[i0 : i0 + step]
+    def terms(hb):
         args = spec.point[None, None, :] - hb[:, None, None] * y[None, :, :]
-        fv = spec.density.pdf(args.reshape(-1, d)).reshape(len(hb), len(y))
-        fw = fv * w[None, :]
-        theta = (u[:, None] * (theta_scale / hb**p)[None, :]).T  # (chunk, nu)
+        fw = spec.density.pdf(args.reshape(-1, d)).reshape(len(hb), len(y)) * w[None, :]
+        theta = (theta_scale / hb**p)[:, None] * u[None, :]  # (block, nu)
         # sum_k w_k expm1(theta_i ky_k) f(x - h_i y_k), for every (i, u)
-        block = np.expm1(theta[:, :, None] * ky[None, None, :])
-        m = np.einsum("iuk,ik->iu", block, fw)
-        acc.add(np.log1p(hb[:, None] ** d * m).sum(axis=0))
-    term1 = (v_n * v_n / a_n) * acc.total
-    mean = expected_estimate(
-        kernel, schedule, spec.density, n, spec.point.reshape(1, -1), alpha=spec.alpha.components
-    )[0]
-    return term1 - u * v_n * mean
+        m = np.einsum("iuk,ik->iu", np.expm1(theta[:, :, None] * ky[None, None, :]), fw)
+        return np.log1p(hb[:, None] ** d * m)
+
+    return bandwidth_sum(schedule, n, terms, len(y) * (len(u) + d), v_n * v_n / a_n)
 
 
 def cgf_finite_n(spec: CgfSpec, u, n: int):
     """L_n(u) at sample size n, scalar or vectorised over u.
 
-    The kernel-support quadrature inside each factor is refined once and
-    the two resolutions must agree within `_FINITE_N_TOL` (QuadratureError
-    otherwise).
+    The log-MGF sum over i is `bandwidth.bandwidth_sum` of a kernel-support
+    quadrature per bandwidth (a Chebyshev interpolant in log h certified by
+    two degrees, or the direct sum), and the centring term is the spec's
+    cached exact mean.  The quadrature inside each factor is refined once
+    and the two resolutions must agree within `_FINITE_N_TOL`
+    (QuadratureError otherwise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scalar = np.isscalar(u) or np.ndim(u) == 0
-    lo = _finite_n_at_level(spec, arr, n, 1)
-    hi = _finite_n_at_level(spec, arr, n, 2)
+    centring = arr * spec.scaling.value(n) * spec.mean(n)
+    lo = _finite_n_at_level(spec, arr, n, 1) - centring
+    hi = _finite_n_at_level(spec, arr, n, 2) - centring
     gap = float(np.max(np.abs(hi - lo)))
     if gap > _FINITE_N_TOL:
         raise QuadratureError(

@@ -13,9 +13,14 @@ value).  Running sums are compensated, so long streams do not lose the
 small late terms against the large early ones.
 
 Also provided: a closed-batch evaluation used as an independent test
-oracle, the exact mean of the estimator under a known sampling density
-(a kernel-support quadrature), and the bias/fluctuation decomposition with
-the bias normalizer and uniform bias bound used in convergence studies.
+oracle, the exact mean of the estimator under a known sampling density,
+and the bias/fluctuation decomposition with the bias normalizer and
+uniform bias bound used in convergence studies.  The exact mean is a
+kernel-support quadrature per bandwidth, summed over i <= n by
+`bandwidth.bandwidth_sum`: a Chebyshev interpolant in log h whose cost does
+not grow with n, certified by comparing two polynomial degrees and falling
+back to the direct sum when that certificate fails; two quadrature levels
+must then agree before a mean is returned.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import BandwidthSchedule
+from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, bandwidth_sum
 from .densities import Density
 from .kernels import (
     KernelModel,
@@ -126,31 +131,38 @@ def expected_estimate(
     """Exact mean (1/n) sum_i int K(y) g(x - h_i y) dy with g the alpha-partial of f.
 
     Integrating the kernel against the shifted density in the substituted
-    variable keeps every factor bounded (no h^-|alpha| appears).  The
-    kernel-support quadrature is refined once; disagreement beyond
-    `_MEAN_TOL` raises QuadratureError rather than returning a doubtful mean.
-    Returns one value per point, shape (m,).
+    variable keeps every factor bounded (no h^-|alpha| appears).  Each term
+    is a kernel-support quadrature and depends on i only through h_i, so
+    the sum over i is `bandwidth.bandwidth_sum`: a Chebyshev interpolant in
+    log h certified by two degrees, or the direct sum when that does not
+    pay or does not converge.  The quadrature is refined once, and the two
+    levels must agree within `_MEAN_TOL`; disagreement raises
+    QuadratureError rather than returning a doubtful mean.  Returns one
+    value per point, shape (m,).
     """
     mi = as_multi_index(alpha, kernel.dimension)
     pts, _ = as_points(points, kernel.dimension)
     if n < 1:
         raise ValueError("n must be >= 1")
-    hs = schedule.values(n)
+    m, d = pts.shape
+    # quadrature nodes per block, so one block of arguments x - h y stays
+    # within the temporary budget whatever d and the point count
+    kstep = max(1, SUM_BLOCK_ENTRIES // (m * d))
     out = None
     for level in (1, 2):
         y, w = kernel_quadrature(kernel, level=level)
         wk = w * kernel.eval_fn(y)
-        acc = NeumaierSum(shape=(len(pts),))
-        # arguments x - h_i y depend on i only through h_i; chunk i to
-        # bound the (chunk, nodes, m, d) temporary
-        step = max(1, int(4_000_000 // max(len(y) * len(pts), 1)))
-        for i0 in range(0, n, step):
-            hb = hs[i0 : i0 + step]
-            args = pts[None, None, :, :] - hb[:, None, None, None] * y[None, :, None, :]
-            g = density.partial(mi.components, args.reshape(-1, kernel.dimension))
-            g = g.reshape(len(hb), len(y), len(pts))
-            acc.add(np.einsum("k,bkm->m", wk, g))
-        val = acc.total / n
+
+        def terms(hb, y=y, wk=wk):
+            rows = np.zeros((len(hb), m))
+            for k0 in range(0, len(y), kstep):
+                yk = y[k0 : k0 + kstep]
+                args = pts[None, None, :, :] - hb[:, None, None, None] * yk[None, :, None, :]
+                g = density.partial(mi.components, args.reshape(-1, d))
+                rows += np.einsum("k,bkm->bm", wk[k0 : k0 + kstep], g.reshape(len(hb), len(yk), m))
+            return rows
+
+        val = bandwidth_sum(schedule, n, terms, min(len(y), kstep) * m * d, 1.0 / n)
         if out is not None and float(np.max(np.abs(val - out))) <= _MEAN_TOL:
             return val
         out = val

@@ -17,6 +17,7 @@ returning a silent best-effort value.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -51,6 +52,15 @@ def check_exp_bound(max_arg: float, context: str) -> None:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
     """Composite Gauss-Legendre rule on [a, b] with `panels` equal panels.
 
@@ -60,7 +70,7 @@ def gauss_legendre_panels(a: float, b: float, panels: int, order: int = 16):
         raise ValueError(f"empty interval [{a}, {b}]")
     if panels < 1 or order < 2:
         raise ValueError("need panels >= 1 and order >= 2")
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+    x0, w0 = _legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
