@@ -153,7 +153,7 @@ def expected_estimate(
         y, w = kernel_quadrature(kernel, level=level)
         wk = w * kernel.eval_fn(y)
 
-        def terms(hb, y=y, wk=wk):
+        def terms(hb):
             rows = np.zeros((len(hb), m))
             for k0 in range(0, len(y), kstep):
                 yk = y[k0 : k0 + kstep]
