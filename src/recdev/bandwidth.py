@@ -123,9 +123,10 @@ class BandwidthSchedule:
     def chebyshev_moments(self, n: int, degree: int) -> np.ndarray:
         """mu_j = sum_{i<=n} T_j(t_i) for j = 0..degree (cached per n).
 
-        t_i maps log h_i affinely onto [-1, 1] over the range of log h_i; the T_j
-        come from the three-term recurrence.  A larger degree recomputes
-        from j = 0, so every mu_j is the same whatever was asked before.
+        t_i maps log h_i affinely onto [-1, 1] over the range of log h_i;
+        the T_j come from the three-term recurrence.  A larger degree
+        recomputes from j = 0, so every mu_j is the same whatever was asked
+        before.
         """
         mu = self._moments.get(n)
         if mu is None or len(mu) <= degree:
@@ -162,8 +163,9 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
     mapped onto [-1, 1]; the points nest, so each doubling of N reuses
     every earlier sample.  The interpolant's coefficients, summed against
     `BandwidthSchedule.chebyshev_moments`, give the sum.  It is accepted
-    when the weighted sums of degrees N and 2N agree to `SUM_TOL` (relative
-    once they exceed 1), and the degree-2N value is returned.  F is
+    when the weighted sums of degrees N and 2N agree to `SUM_TOL` and the
+    upper half of the degree-2N terms, taken unsigned, stays below it too
+    (relative once the sum exceeds 1); the degree-2N value is returned.  F is
     evaluated at every h_i directly (blocked, compensated) when n is too
     small for the interpolant to save work, or when the certificate fails
     before the samples reach n/2, so no input costs more than about 1.5
