@@ -48,16 +48,7 @@ from .numerics import (
     gauss_legendre_panels,
     tanh_sinh,
 )
-from .ratefn import (
-    PsiEvaluator,
-    RateValue,
-    UniformRateSpec,
-    phi_maximizer,
-    pointwise_rate_density,
-    quadratic_rate,
-    uniform_cgf_limit,
-    uniform_rate,
-)
+from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
 __version__ = "0.1.0"
 
@@ -85,7 +76,6 @@ __all__ = [
     "ScalingSequence",
     "UnderpoweredExperimentError",
     "UniformBoxDensity",
-    "UniformRateSpec",
     "Verdict",
     "batch_values",
     "bias_normalizer",
@@ -103,7 +93,6 @@ __all__ = [
     "gauss_legendre_panels",
     "kernel_moment",
     "norm_moment",
-    "phi_maximizer",
     "pointwise_rate_density",
     "quadratic_rate",
     "run_bias_study",
@@ -111,6 +100,4 @@ __all__ = [
     "run_uniform",
     "speed",
     "tanh_sinh",
-    "uniform_cgf_limit",
-    "uniform_rate",
 ]

@@ -32,7 +32,8 @@ import numpy as np
 
 from .numerics import NeumaierSum, compensated_cumsum
 
-_KINDS = ("power", "power_log")
+BANDWIDTH_KINDS = ("power", "power_log")
+SCALING_KINDS = ("constant_one", "power")
 # a Chebyshev sum is accepted when degrees N and 2N agree to this gap on the
 # caller's scale (the mean, the cumulant), relative once that exceeds 1
 SUM_TOL = 1e-13
@@ -60,8 +61,8 @@ class BandwidthSchedule:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got '{self.kind}'")
+        if self.kind not in BANDWIDTH_KINDS:
+            raise ValueError(f"kind must be one of {BANDWIDTH_KINDS}, got '{self.kind}'")
         if not (self.c > 0):
             raise ValueError(f"bandwidth constant c must be > 0, got {self.c}")
         if not (0.0 <= self.a < 1.0):
@@ -232,7 +233,7 @@ class ScalingSequence:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant_one", "power"):
+        if self.kind not in SCALING_KINDS:
             raise ValueError(f"scaling kind must be constant_one or power, got '{self.kind}'")
         if self.kind == "power" and not (0.0 < self.b < 0.5):
             raise ValueError(f"scaling exponent b must satisfy 0 < b < 1/2, got {self.b}")

@@ -25,8 +25,11 @@ levels must agree before a value is returned.
 L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
 quadratic u^2 f(x) ||d^alpha K||_2^2 / (2 (1 - a^2 (d+2|alpha|)^2)) in
-every scaled or derivative case.  `convergence_diagnostic` tabulates the
-finite-n curves against the limit over a grid of u.
+every scaled or derivative case.  `CgfSpec.regime` is the one rule that
+tells the two apart.  `CgfSpec.rate` and `CgfSpec.tilt` give the limit's
+conjugate and its maximizer at a density level f: f(x) for pointwise
+statements, sup_U f for the sup over a region U.  `convergence_diagnostic`
+tabulates the finite-n curves against the limit over a grid of u.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
 from .numerics import QuadratureError, check_exp_bound
 from .estimator import expected_estimate
-from .ratefn import PsiEvaluator
+from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
 # the level-1 and level-2 kernel-support quadratures must agree to this gap
 _FINITE_N_TOL = 1e-8
@@ -99,6 +102,28 @@ class CgfSpec:
 
     def speed(self, n: int) -> float:
         return speed(self.schedule, self.scaling, self.kernel.dimension, self.alpha.order, n)
+
+    def rate(self, t: float, level: float) -> RateValue:
+        """The limiting rate of the signed deviation t at density level `level`."""
+        if self.regime == "ldp":
+            return pointwise_rate_density(self.psi(), level, t)
+        return quadratic_rate(
+            level, self.kernel.l2_norm_sq(self.alpha), self.schedule.a,
+            self.kernel.dimension, self.alpha.order, t,
+        )
+
+    def tilt(self, t: float, level: float) -> float:
+        """The u at which u t - Lambda(u) attains `rate(t, level)`.
+
+        Lambda is the limiting cumulant curve at density level `level`; the
+        duality holds to root-finding accuracy in the ldp regime and in
+        closed form in the quadratic one.
+        """
+        if self.regime == "ldp":
+            ev = self.psi()
+            return ev.inverse_prime(ev.prime_at_zero + t / (level * (1.0 - ev.ad)))
+        m = self.schedule.a * (self.kernel.dimension + 2 * self.alpha.order)
+        return t * ((1.0 - m * m) / (level * self.kernel.l2_norm_sq(self.alpha)))
 
 
 def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.ndarray:

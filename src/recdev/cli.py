@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import BandwidthSchedule, ScalingSequence
+from .bandwidth import BANDWIDTH_KINDS, SCALING_KINDS, BandwidthSchedule, ScalingSequence
 from .cgf import CgfSpec, convergence_diagnostic
 from .densities import build_density
 from .deviations import (
@@ -53,13 +53,10 @@ from .deviations import (
     run_uniform,
 )
 from .estimator import batch_values
-from .kernels import builtin_kernel, tensor_grid
+from .kernels import KERNEL_NAMES, builtin_kernel, tensor_grid
 from .numerics import OverflowGuardError, QuadratureError, RootFindError
 from .ratefn import PsiEvaluator
 
-_KERNELS = ("gaussian", "epanechnikov", "quartic")
-_BANDWIDTH_KINDS = ("power", "power_log")
-_SCALING_KINDS = ("constant_one", "power")
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 
 
@@ -102,14 +99,16 @@ class ExperimentConfig:
     def alpha_order(self) -> int:
         return int(sum(self.alpha_components()))
 
+    def regime(self) -> str:
+        """"ldp" for the plain unscaled estimator, else "mdp"."""
+        return "ldp" if self.scaling_kind == "constant_one" and self.alpha_order() == 0 else "mdp"
+
     def resolved_mode(self) -> str:
         if self.mode is not None:
             return self.mode
         if self.region is not None:
             return "uniform_unbounded" if self.xi is not None else "uniform_bounded"
-        if self.scaling_kind == "constant_one" and self.alpha_order() == 0:
-            return "ldp"
-        return "mdp"
+        return self.regime()
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -188,19 +187,21 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
 
 
 def _structural(cfg: ExperimentConfig, sub: str, bad: list) -> None:
-    if cfg.kernel not in _KERNELS:
-        bad.append(f"kernel must be one of {', '.join(_KERNELS)}; got '{cfg.kernel}'")
+    if cfg.kernel not in KERNEL_NAMES:
+        bad.append(f"kernel must be one of {', '.join(KERNEL_NAMES)}; got '{cfg.kernel}'")
     if not (isinstance(cfg.dimension, int) and cfg.dimension >= 1):
         bad.append(f"dimension must be a positive integer; got {cfg.dimension!r}")
         return
-    if cfg.bandwidth_kind not in _BANDWIDTH_KINDS:
-        bad.append(f"bandwidth_kind must be power or power_log; got '{cfg.bandwidth_kind}'")
+    if cfg.bandwidth_kind not in BANDWIDTH_KINDS:
+        kinds = " or ".join(BANDWIDTH_KINDS)
+        bad.append(f"bandwidth_kind must be {kinds}; got '{cfg.bandwidth_kind}'")
     if not cfg.bandwidth_c > 0:
         bad.append(f"bandwidth_c must be positive; got {cfg.bandwidth_c}")
     if not 0 <= cfg.bandwidth_a < 1:
         bad.append(f"bandwidth_a must lie in [0, 1); got {cfg.bandwidth_a}")
-    if cfg.scaling_kind not in _SCALING_KINDS:
-        bad.append(f"scaling_kind must be constant_one or power; got '{cfg.scaling_kind}'")
+    if cfg.scaling_kind not in SCALING_KINDS:
+        kinds = " or ".join(SCALING_KINDS)
+        bad.append(f"scaling_kind must be {kinds}; got '{cfg.scaling_kind}'")
     elif cfg.scaling_kind == "power" and not 0 < cfg.scaling_b < 0.5:
         bad.append(f"scaling_b must lie in (0, 1/2); got {cfg.scaling_b}")
     alpha = cfg.alpha_components()
@@ -209,7 +210,7 @@ def _structural(cfg: ExperimentConfig, sub: str, bad: list) -> None:
     ):
         bad.append(f"alpha must hold {cfg.dimension} nonnegative integers; got {cfg.alpha}")
         alpha = [0] * cfg.dimension
-    if cfg.kernel in _KERNELS:
+    if cfg.kernel in KERNEL_NAMES:
         kernel = builtin_kernel(cfg.kernel, cfg.dimension)
         if sum(alpha) > kernel.max_derivative_order:
             bad.append(
@@ -306,8 +307,7 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
     if subcommand == "bias" and q % 2 != 0:
         bad.append(f"(H7)i): builtin kernels have nonzero even moments below odd q; use even q, got q={q}")
     if needs_theory and cfg.mode is not None:
-        regime = "ldp" if cfg.scaling_kind == "constant_one" and cfg.alpha_order() == 0 else "mdp"
-        if mode in ("ldp", "mdp") and mode != regime:
+        if mode in ("ldp", "mdp") and mode != cfg.regime():
             bad.append(
                 f"mode '{mode}' conflicts with scaling_kind='{cfg.scaling_kind}' "
                 f"and |alpha|={cfg.alpha_order()}"

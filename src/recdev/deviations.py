@@ -11,9 +11,9 @@ prefix: segment sums between checkpoints accumulate into prefix sums, so a
 full n_max-observation stream is simulated once per replication.
 
 Reports juxtapose the empirical normalized log-probabilities
-(1/b_n) log p_hat_n with the theoretical references from the rate modules:
-the pointwise rate, the quadratic rate, or the uniform sup-rate with its
-two-sided envelope and the moment-exponent sandwich
+(1/b_n) log p_hat_n with the theoretical reference g(delta), the smaller of
+the spec's up- and down-crossing rates (`CgfSpec.rate`) at density level
+f(x) for a point or sup_U f for a region, plus the moment-exponent sandwich
 [-g(delta), -(xi/(xi+d)) g(delta)] for unbounded regions.  Zero-count
 cells are censored at 1/R and flagged, never silently logged as -inf.
 Also here: the deterministic bias study (quadrature, no simulation) and
@@ -31,19 +31,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import speed
 from .cgf import CgfSpec, cgf_finite_n
-from .densities import Density
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
 from .kernels import as_points
-from .ratefn import (
-    RateValue,
-    UniformRateSpec,
-    phi_maximizer,
-    pointwise_rate_density,
-    quadratic_rate,
-    uniform_rate,
-)
+from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
 # The final |normalized log + rate| may be at most this fraction of the rate.
@@ -202,7 +193,7 @@ def _rows_from_counts(exp: DeviationExperiment, counts: np.ndarray) -> tuple:
     spec = exp.spec
     rows = []
     for n, cnt in zip(exp.n_list, counts):
-        b_n = speed(spec.schedule, spec.scaling, spec.kernel.dimension, spec.alpha.order, n)
+        b_n = spec.speed(n)
         censored = cnt == 0
         p_hat = max(int(cnt), 1) / exp.replications
         rows.append(
@@ -223,24 +214,10 @@ def _rows_from_counts(exp: DeviationExperiment, counts: np.ndarray) -> tuple:
     return tuple(rows)
 
 
-def _rate_spec(exp: DeviationExperiment, sup_density: float) -> UniformRateSpec:
-    spec = exp.spec
-    ldp = spec.regime == "ldp"
-    return UniformRateSpec(
-        mode="ldp_density" if ldp else "quadratic",
-        sup_density=sup_density,
-        kernel=spec.kernel,
-        a=spec.schedule.a,
-        alpha=spec.alpha,
-        scaling=spec.scaling,
-        psi=spec.psi() if ldp else None,
-    )
-
-
-def _two_sided_rate(exp: DeviationExperiment, sup_density: float) -> RateValue:
+def _two_sided_rate(exp: DeviationExperiment, level: float) -> RateValue:
     """min of the up- and down-crossing rates at the experiment's delta."""
-    _, _, tilde = uniform_rate(_rate_spec(exp, sup_density), exp.delta)
-    return tilde
+    rates = (exp.spec.rate(exp.delta, level), exp.spec.rate(-exp.delta, level))
+    return min(rates, key=lambda r: r.value)
 
 
 def run_pointwise(exp: DeviationExperiment, mode: str) -> DeviationReport:
@@ -258,11 +235,7 @@ def run_pointwise(exp: DeviationExperiment, mode: str) -> DeviationReport:
             "ldp needs the constant scaling and |alpha| = 0"
         )
     grid = spec.point.reshape(1, -1)
-    fx = spec.density_at_point
-    if fx > 0:
-        rate = _two_sided_rate(exp, fx)
-    else:
-        rate = RateValue.infinite()
+    rate = _two_sided_rate(exp, spec.density_at_point)
     counts = _simulate_counts(exp, grid)
     rows = _rows_from_counts(exp, counts)
     verdicts = _tail_verdicts(rows, rate)
@@ -291,6 +264,8 @@ def run_uniform(exp: DeviationExperiment, bounded: bool = True) -> DeviationRepo
     if not bounded and exp.xi is None:
         raise ValueError("unbounded mode needs the moment exponent xi")
     sup_density = float(np.max(spec.density.pdf(exp.region)))
+    if sup_density <= 0:
+        raise ValueError("sup_density must be positive")
     rate = _two_sided_rate(exp, sup_density)
     lower = -rate.value
     factor = 1.0 if bounded or exp.xi is None else exp.xi / (exp.xi + spec.kernel.dimension)
@@ -445,7 +420,6 @@ def chernoff_upper_curve(
             raise ValueError("base report rows do not match the experiment n_list")
     else:
         rows = _rows_from_counts(exp, _simulate_counts(exp, grid))
-    rspec = _rate_spec(exp, fx)
     target = spec.density.partial(spec.alpha.components, grid)[0]
     out_rows = []
     notes = []
@@ -460,7 +434,7 @@ def chernoff_upper_curve(
                 total += 1.0  # threshold swallowed by the bias; bound is trivial
                 notes.append(f"n={n}: side {sign:+.0f} has nonpositive effective threshold")
                 continue
-            u = phi_maximizer(rspec, sign * d_eff)
+            u = spec.tilt(sign * d_eff, fx)
             ln = cgf_finite_n(spec, u, n)
             total += math.exp(-row.speed * (u * sign * d_eff - ln))
         out_rows.append(dataclasses.replace(row, chernoff_bound=min(total, 1.0)))
@@ -476,7 +450,7 @@ def chernoff_upper_curve(
         kind="chernoff",
         delta=exp.delta,
         replications=exp.replications,
-        rate=_two_sided_rate(exp, fx) if fx > 0 else RateValue.infinite(),
+        rate=_two_sided_rate(exp, fx),
         sandwich=None,
         rows=tuple(out_rows),
         verdicts=verdicts,

@@ -247,6 +247,7 @@ _PROFILES = {
     "epanechnikov": _EpanechnikovProfile(),
     "quartic": _QuarticProfile(),
 }
+KERNEL_NAMES = tuple(_PROFILES)
 
 
 @dataclass

@@ -8,7 +8,10 @@ psi is strictly convex and smooth with psi(0) = 0 and psi'(0) = 1/(1 - a d).
 Its convex conjugate I(t) = sup_u (u t - psi(u)) is the pointwise rate of
 the density estimator in the large-deviation regime, after recentring and
 scaling by the density value.  The moderate-deviation regime has the
-explicit quadratic rate and needs no transform.
+explicit quadratic rate and needs no transform.  Both rates are evaluated
+at a density level, f(x) at a point or sup_U f over a region;
+`pointwise_rate_density` and `quadratic_rate` are the two closed forms,
+and `cgf.CgfSpec.rate`/`tilt` pick the one for the spec's regime.
 
 The shape of I depends on the sign sets of K.  With lambda{K < 0} = 0 the
 range of psi' is (0, inf): I is +inf on t < 0, equals lambda{K > 0}/(1 - a d)
@@ -27,13 +30,11 @@ bracketed Newton iteration safeguarded by bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import ScalingSequence
-from .kernels import KernelModel, MultiIndex, as_multi_index, tensor_rule
+from .kernels import KernelModel, tensor_rule
 from .numerics import (
     EXP_ARG_LIMIT,
     QuadratureError,
@@ -80,10 +81,6 @@ class RateValue:
 
     def csv_str(self) -> str:
         return "inf" if not self.finite else repr(self.value)
-
-
-def _min_rate(x: RateValue, y: RateValue) -> RateValue:
-    return x if x.value <= y.value else y
 
 
 # two consecutive levels of psi, psi' or psi'' must agree to this absolute
@@ -330,7 +327,7 @@ class PsiEvaluator:
 
 
 def pointwise_rate_density(psi_ev: PsiEvaluator, f_x: float, t: float) -> RateValue:
-    """Pointwise large-deviation rate at a point with density value f_x.
+    """Large-deviation rate at density level f_x (f(x), or sup_U f for a region).
 
     Recentring puts the estimator's almost-sure limit at rate zero:
     the rate of deviation t is f_x (1 - a d) I(1/(1 - a d) + t/(f_x (1 - a d))).
@@ -369,95 +366,3 @@ def quadratic_rate(
     if f_x == 0.0:
         return RateValue.of(0.0) if t == 0.0 else RateValue.infinite()
     return RateValue.of(t * t * (1.0 - m * m) / (2.0 * f_x * l2_alpha))
-
-
-@dataclass
-class UniformRateSpec:
-    """Inputs for uniform (sup over a region) deviation rates.
-
-    mode "ldp_density" is the unscaled density estimator (|alpha| = 0,
-    v = 1) and uses the transform; mode "quadratic" covers every scaled or
-    derivative case.  `sup_density` is the sup of f over the region,
-    computed on the experiment grid by callers.
-    """
-
-    mode: str
-    sup_density: float
-    kernel: KernelModel
-    a: float
-    alpha: MultiIndex
-    scaling: ScalingSequence
-    psi: Optional[PsiEvaluator] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.mode not in ("ldp_density", "quadratic"):
-            raise ValueError(f"unknown uniform-rate mode '{self.mode}'")
-        if self.sup_density <= 0:
-            raise ValueError("sup_density must be positive")
-        self.alpha = as_multi_index(self.alpha, self.kernel.dimension)
-        if self.mode == "ldp_density":
-            if self.alpha.order != 0:
-                raise ValueError("mode ldp_density requires |alpha| = 0")
-            if not self.scaling.is_constant_one:
-                raise ValueError("mode ldp_density requires the constant scaling v = 1")
-            if self.psi is None:
-                self.psi = PsiEvaluator(self.kernel, self.a)
-        m = self.a * (self.kernel.dimension + 2 * self.alpha.order)
-        if m >= 1.0:
-            raise ValueError(f"a (d + 2|alpha|) = {m:.4g} >= 1 is outside the theory")
-
-    @property
-    def _quad_slope(self) -> float:
-        m = self.a * (self.kernel.dimension + 2 * self.alpha.order)
-        return (1.0 - m * m) / (self.sup_density * self.kernel.l2_norm_sq(self.alpha))
-
-
-def uniform_rate(spec: UniformRateSpec, delta: float):
-    """(g(delta), g(-delta), min of the two) for the sup-deviation statistic.
-
-    In ldp_density mode the down-crossing branch g(-delta) becomes +inf as
-    soon as delta >= sup_density for kernels with unbounded positive
-    support, and hits the finite t = 0 branch exactly at delta = sup_density
-    for compactly supported ones.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if spec.mode == "ldp_density":
-        g_pos = pointwise_rate_density(spec.psi, spec.sup_density, delta)
-        g_neg = pointwise_rate_density(spec.psi, spec.sup_density, -delta)
-    else:
-        g_pos = quadratic_rate(
-            spec.sup_density,
-            spec.kernel.l2_norm_sq(spec.alpha),
-            spec.a,
-            spec.kernel.dimension,
-            spec.alpha.order,
-            delta,
-        )
-        g_neg = g_pos
-    return g_pos, g_neg, _min_rate(g_pos, g_neg)
-
-
-def phi_maximizer(spec: UniformRateSpec, delta: float) -> float:
-    """The tilt u at which u*delta - sup_x Lambda_x(u) attains g(delta).
-
-    `delta` may be signed; negative values give the down-crossing tilt.
-    The duality identity u*delta - Lambda(u; sup_density) = g(delta) holds
-    to root-finding accuracy and is asserted in tests.
-    """
-    if delta == 0:
-        return 0.0
-    if spec.mode == "ldp_density":
-        scale = spec.sup_density * (1.0 - spec.psi.ad)
-        return spec.psi.inverse_prime(spec.psi.prime_at_zero + delta / scale)
-    return delta * spec._quad_slope
-
-
-def uniform_cgf_limit(spec: UniformRateSpec, u: float) -> float:
-    """sup_x Lambda_x(u) over the region, i.e. Lambda at f = sup_density."""
-    if spec.mode == "ldp_density":
-        ad = spec.psi.ad
-        return spec.sup_density * (1.0 - ad) * (
-            spec.psi.psi(u) - u / (1.0 - ad)
-        )
-    return 0.5 * u * u / spec._quad_slope

@@ -347,6 +347,10 @@ def test_broken_json_exits_two(tmp_path, capsys):
         ("chernoff", dict(density="uniform_box", density_low=[0.0], density_high=[1.0],
                           point=[2.0], n_list=[20, 40], replications=50),
          "needs f(x) > 0"),
+        # the uniform rate needs sup_U f > 0, and the region lies outside the box
+        ("simulate", dict(density="uniform_box", density_low=[0.0], density_high=[1.0],
+                          region="2:3:0.5", n_list=[20, 40], replications=50),
+         "sup_density must be positive"),
     ],
 )
 def test_usage_error_at_run_time_exits_two(tmp_path, capsys, sub, fields, message):

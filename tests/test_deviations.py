@@ -185,6 +185,18 @@ def test_zero_density_point_gives_infinite_rate_and_no_tail_verdicts():
     assert all(r.count > 0 for r in rep.rows)
 
 
+@pytest.mark.parametrize(
+    "scaling,mode", [(ScalingSequence(kind="constant_one"), "ldp"), (None, "mdp")]
+)
+def test_pointwise_rate_is_the_smaller_one_sided_rate(scaling, mode):
+    spec = _spec(scaling=scaling)
+    rep = run_pointwise(_exp(spec, delta=0.3), mode)
+    fx = spec.density_at_point
+    up, down = spec.rate(0.3, fx), spec.rate(-0.3, fx)
+    assert rep.rate.finite
+    assert rep.rate.value == min(up.value, down.value)
+
+
 def test_uniform_sandwich_geometry():
     grid = np.array([[-0.5], [0.0], [0.5]])
     exp = _exp(

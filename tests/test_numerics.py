@@ -101,6 +101,35 @@ def test_compensated_cumsum_matches_fsum_prefixes(values):
     assert_allclose(out, ref, rtol=1e-14, atol=1e-300)
 
 
+def _loop_cumsum(x):
+    # the element-by-element Neumaier loop the vectorised version replaces
+    out = np.empty(len(x))
+    s = c = 0.0
+    for i, v in enumerate(x.tolist()):
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+        out[i] = s + c
+    return out
+
+
+def _cumsum_cases():
+    h = np.arange(1, 10**6 + 1, dtype=np.float64) ** -0.3
+    i = np.arange(1, 200_001, dtype=np.float64)
+    rng = np.random.default_rng(11)
+    spread = rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-20, 20, 1000)
+    power_log = (0.5 * i**-0.2 * np.log(i + 1.0)) ** 3
+    return [h**0.5, h, h**3, power_log, rng.standard_normal(100_000), spread]
+
+
+def test_compensated_cumsum_is_bit_identical_to_the_loop():
+    for x in _cumsum_cases():
+        assert np.array_equal(compensated_cumsum(x), _loop_cumsum(x))
+
+
 def test_compensated_cumsum_shape_and_empty():
     assert compensated_cumsum(np.array([])).shape == (0,)
     out = compensated_cumsum(np.array([2.0]))

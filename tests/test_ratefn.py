@@ -6,18 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from recdev.bandwidth import ScalingSequence
+from recdev.bandwidth import BandwidthSchedule, ScalingSequence
+from recdev.cgf import CgfSpec, cgf_limit
+from recdev.densities import GaussianDensity
 from recdev.kernels import KernelModel, builtin_kernel
-from recdev.ratefn import (
-    PsiEvaluator,
-    RateValue,
-    UniformRateSpec,
-    phi_maximizer,
-    pointwise_rate_density,
-    quadratic_rate,
-    uniform_cgf_limit,
-    uniform_rate,
-)
+from recdev.ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
 GAUSS = builtin_kernel("gaussian", 1)
 EPAN = builtin_kernel("epanechnikov", 1)
@@ -208,96 +201,87 @@ def test_quadratic_rate_domain_errors():
         quadratic_rate(-0.1, 0.3, a=0.2, d=1, alpha_order=0, t=0.1)
 
 
-def _quad_spec(sup_density=None):
-    fx = sup_density if sup_density is not None else 1.0 / math.sqrt(2 * math.pi)
-    return UniformRateSpec(
-        mode="quadratic",
-        sup_density=fx,
+def _level_spec(scaling, level, a=0.3, alpha=(0,)):
+    # a gaussian with f(0) = level puts that density level at the point
+    sigma = 1.0 / (level * math.sqrt(2 * math.pi))
+    return CgfSpec(
         kernel=GAUSS,
-        a=0.3,
-        alpha=(0,),
-        scaling=ScalingSequence(kind="power", b=0.1),
+        schedule=BandwidthSchedule(kind="power", c=1.0, a=a),
+        scaling=scaling,
+        density=GaussianDensity(mean=[0.0], sigma=[sigma]),
+        point=[0.0],
+        alpha=alpha,
     )
 
 
-def _ldp_spec(kernel=GAUSS, a=0.3, sup_density=0.5):
-    return UniformRateSpec(
-        mode="ldp_density",
-        sup_density=sup_density,
-        kernel=kernel,
-        a=a,
-        alpha=(0,),
-        scaling=ScalingSequence(kind="constant_one"),
-    )
+def _quad_spec():
+    return _level_spec(ScalingSequence(kind="power", b=0.1), 1.0 / math.sqrt(2 * math.pi))
 
 
-def test_uniform_rate_quadratic_symmetric():
+def _ldp_spec():
+    return _level_spec(ScalingSequence(kind="constant_one"), 0.5)
+
+
+def test_spec_rate_quadratic_symmetric():
     spec = _quad_spec()
-    plus, minus, tilde = uniform_rate(spec, 0.2)
-    assert plus.value == minus.value == tilde.value
-    assert_allclose(tilde.value, 0.16172093894896455, rtol=1e-14)
+    level = spec.density_at_point
+    plus, minus = spec.rate(0.2, level), spec.rate(-0.2, level)
+    assert plus.value == minus.value
+    assert_allclose(plus.value, 0.16172093894896455, rtol=1e-14)
 
 
-def test_uniform_rate_ldp_two_sided_min():
-    spec = _ldp_spec(sup_density=0.5)
-    plus, minus, tilde = uniform_rate(spec, 0.2)
+def test_spec_rate_ldp_two_sided():
+    spec = _ldp_spec()
+    plus, minus = spec.rate(0.2, 0.5), spec.rate(-0.2, 0.5)
     assert plus.finite and minus.finite
-    assert tilde.value == min(plus.value, minus.value)
     # down-crossings are harder than up-crossings for a density estimator
     assert minus.value > plus.value
     # crossing below zero density is impossible under a positive kernel
-    _, minus_far, _ = uniform_rate(spec, 0.5 + 1e-9)
-    assert not minus_far.finite
+    assert not spec.rate(-(0.5 + 1e-9), 0.5).finite
 
 
 @given(st.floats(min_value=0.02, max_value=1.5))
 @settings(max_examples=25, deadline=None)
-def test_phi_maximizer_duality_quadratic(delta):
+def test_spec_tilt_duality_quadratic(delta):
     spec = _quad_spec()
+    level = spec.density_at_point
     for signed in (delta, -delta):
-        u = phi_maximizer(spec, signed)
-        g = uniform_rate(spec, abs(signed))[0 if signed > 0 else 1]
-        assert abs(u * signed - uniform_cgf_limit(spec, u) - g.value) <= 1e-8
+        u = spec.tilt(signed, level)
+        g = spec.rate(signed, level)
+        assert abs(u * signed - cgf_limit(spec, u) - g.value) <= 1e-8
 
 
 @given(st.floats(min_value=0.02, max_value=0.9))
 @settings(max_examples=20, deadline=None)
-def test_phi_maximizer_duality_ldp(delta):
-    spec = _ldp_spec(sup_density=0.5)
-    plus, minus, _ = uniform_rate(spec, delta)
-    for signed, g in ((delta, plus), (-delta, minus)):
+def test_spec_tilt_duality_ldp(delta):
+    spec = _ldp_spec()
+    level = spec.density_at_point
+    for signed in (delta, -delta):
+        g = spec.rate(signed, level)
         if not g.finite:
             continue
-        u = phi_maximizer(spec, signed)
-        assert abs(u * signed - uniform_cgf_limit(spec, u) - g.value) <= 1e-8
+        u = spec.tilt(signed, level)
+        assert abs(u * signed - cgf_limit(spec, u) - g.value) <= 1e-8
 
 
-def test_uniform_cgf_limit_quadratic_closed_form():
+def test_spec_cgf_limit_quadratic_closed_form():
     spec = _quad_spec()
     u = 0.8
-    expected = 0.5 * u * u * spec.sup_density * GAUSS.l2_norm_sq((0,)) / (1 - 0.09)
-    assert_allclose(uniform_cgf_limit(spec, u), expected, rtol=1e-12)
+    expected = 0.5 * u * u * spec.density_at_point * GAUSS.l2_norm_sq((0,)) / (1 - 0.09)
+    assert_allclose(cgf_limit(spec, u), expected, rtol=1e-12)
 
 
 def test_uniform_spec_validation():
-    with pytest.raises(ValueError):
-        UniformRateSpec(
-            mode="ldp_density",
-            sup_density=0.5,
-            kernel=GAUSS,
-            a=0.3,
-            alpha=(1,),
-            scaling=ScalingSequence(kind="constant_one"),
-        )
-    with pytest.raises(ValueError):
-        UniformRateSpec(
-            mode="quadratic",
-            sup_density=0.5,
-            kernel=GAUSS,
-            a=0.6,
-            alpha=(1,),
-            scaling=ScalingSequence(kind="power", b=0.1),
-        )
+    # the spec that carries the uniform rates rejects a (d + 2|alpha|) >= 1
+    with pytest.raises(ValueError, match=r"a \(d \+ 2\|alpha\|\) = 1.8 >= 1"):
+        _level_spec(ScalingSequence(kind="power", b=0.1), 0.5, a=0.6, alpha=(1,))
+
+
+def test_public_names_resolve():
+    import recdev
+
+    for name in recdev.__all__:
+        assert getattr(recdev, name) is not None
 
 
 def test_two_dimensional_psi_slope():
