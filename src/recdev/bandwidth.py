@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NeumaierSum, compensated_cumsum
+from .numerics import NeumaierSum, agrees, compensated_cumsum
 
 BANDWIDTH_KINDS = ("power", "power_log")
 SCALING_KINDS = ("constant_one", "power")
@@ -201,7 +201,7 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
             # the upper half of the terms is counted unsigned, so a jump in F
             # whose terms cancel in the signed gap still fails
             gap = np.maximum(np.abs(fine - coarse), np.abs(terms_fine[deg // 2 + 1 :]).sum(axis=0))
-            if np.max(gap) <= SUM_TOL * max(1.0, float(np.max(np.abs(fine)))):
+            if agrees(gap, fine, SUM_TOL):
                 return fine
             if 2 * deg > _CHEB_MAX or 2 * deg + 1 > n // 2:
                 break

@@ -20,7 +20,7 @@ no h^-|alpha| amplification; it is computed once per n and kept on the
 `CgfSpec`.  Each factor depends on i only through h_i, so the sum over
 i <= n is `bandwidth.bandwidth_sum` (a Chebyshev interpolant in log h,
 certified by two degrees, or the direct sum), and the two quadrature
-levels must agree before a value is returned.
+levels must agree by `numerics.refine` before a value is returned.
 
 L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
@@ -43,11 +43,12 @@ import numpy as np
 from .bandwidth import BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
-from .numerics import QuadratureError, check_exp_bound
+from .numerics import check_exp_bound, refine
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
-# the level-1 and level-2 kernel-support quadratures must agree to this gap
+# the level-1 and level-2 kernel-support quadratures must agree to this gap,
+# relative once the cumulant exceeds 1
 _FINITE_N_TOL = 1e-8
 
 
@@ -158,22 +159,19 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
     quadrature per bandwidth (a Chebyshev interpolant in log h certified by
     two degrees, or the direct sum), and the centring term is the spec's
     cached exact mean.  The quadrature inside each factor is refined once
-    and the two resolutions must agree within `_FINITE_N_TOL`
-    (QuadratureError otherwise).
+    and the two resolutions of L_n must agree within `_FINITE_N_TOL`,
+    relative once |L_n| exceeds 1 (QuadratureError otherwise).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scalar = np.isscalar(u) or np.ndim(u) == 0
     centring = arr * spec.scaling.value(n) * spec.mean(n)
-    lo = _finite_n_at_level(spec, arr, n, 1) - centring
-    hi = _finite_n_at_level(spec, arr, n, 2) - centring
-    gap = float(np.max(np.abs(hi - lo)))
-    if gap > _FINITE_N_TOL:
-        raise QuadratureError(
-            f"finite-n cumulant quadrature disagrees by {gap:.3g} (> {_FINITE_N_TOL:g})"
-        )
-    return float(hi[0]) if scalar else hi.reshape(np.shape(u))
+    out, _ = refine(
+        lambda level: _finite_n_at_level(spec, arr, n, level) - centring,
+        (1, 2), _FINITE_N_TOL, "finite-n cumulant quadrature",
+    )
+    return float(out[0]) if scalar else out.reshape(np.shape(u))
 
 
 def cgf_limit(spec: CgfSpec, u):

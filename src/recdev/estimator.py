@@ -20,7 +20,7 @@ kernel-support quadrature per bandwidth, summed over i <= n by
 `bandwidth.bandwidth_sum`: a Chebyshev interpolant in log h whose cost does
 not grow with n, certified by comparing two polynomial degrees and falling
 back to the direct sum when that certificate fails; two quadrature levels
-must then agree before a mean is returned.
+must then agree by `numerics.refine` before a mean is returned.
 """
 
 from __future__ import annotations
@@ -40,11 +40,12 @@ from .kernels import (
     kernel_quadrature,
     norm_moment,
 )
-from .numerics import NeumaierSum, QuadratureError
+from .numerics import NeumaierSum, refine
 
 # kernel evaluations per batch_values block, over observations x grid points
 _BATCH_ENTRIES = 65536
-# two quadrature levels of the exact mean must agree to this absolute gap
+# two quadrature levels of the exact mean must agree to this gap, relative
+# once the mean exceeds 1
 _MEAN_TOL = 1e-9
 
 
@@ -136,9 +137,9 @@ def expected_estimate(
     the sum over i is `bandwidth.bandwidth_sum`: a Chebyshev interpolant in
     log h certified by two degrees, or the direct sum when that does not
     pay or does not converge.  The quadrature is refined once, and the two
-    levels must agree within `_MEAN_TOL`; disagreement raises
-    QuadratureError rather than returning a doubtful mean.  Returns one
-    value per point, shape (m,).
+    levels must agree within `_MEAN_TOL`, relative once the mean exceeds 1;
+    disagreement raises QuadratureError rather than returning a doubtful
+    mean.  Returns one value per point, shape (m,).
     """
     mi = as_multi_index(alpha, kernel.dimension)
     pts, _ = as_points(points, kernel.dimension)
@@ -148,8 +149,8 @@ def expected_estimate(
     # quadrature nodes per block, so one block of arguments x - h y stays
     # within the temporary budget whatever d and the point count
     kstep = max(1, SUM_BLOCK_ENTRIES // (m * d))
-    out = None
-    for level in (1, 2):
+
+    def at_level(level):
         y, w = kernel_quadrature(kernel, level=level)
         wk = w * kernel.eval_fn(y)
 
@@ -162,13 +163,9 @@ def expected_estimate(
                 rows += np.einsum("k,bkm->bm", wk[k0 : k0 + kstep], g.reshape(len(hb), len(yk), m))
             return rows
 
-        val = bandwidth_sum(schedule, n, terms, min(len(y), kstep) * m * d, 1.0 / n)
-        if out is not None and float(np.max(np.abs(val - out))) <= _MEAN_TOL:
-            return val
-        out = val
-    raise QuadratureError(
-        f"mean-estimate quadrature did not stabilise to {_MEAN_TOL:g} after refinement"
-    )
+        return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * m * d, 1.0 / n)
+
+    return refine(at_level, (1, 2), _MEAN_TOL, "mean-estimate quadrature")[0]
 
 
 @dataclass(frozen=True)

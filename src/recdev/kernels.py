@@ -9,7 +9,7 @@ the support-sign measures themselves.
 
 Constants with a closed form (L2 norms, low moments, sup norms of the
 gaussian family) are filled analytically; everything else falls back to
-adaptive quadrature with a hard absolute tolerance.
+adaptive quadrature with a hard tolerance (relative for values above 1).
 
 The primitives every other module builds on live here, one helper each:
 `as_points` (the point-shape rule), `as_multi_index` (None is the zero
@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import QuadratureError, gauss_legendre_panels, integrate_to_tol
+from .numerics import gauss_legendre_panels, integrate_to_tol, refine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -53,14 +53,6 @@ class MultiIndex:
     @property
     def dimension(self) -> int:
         return len(self.components)
-
-    def lowered(self, axis: int) -> "MultiIndex":
-        """The multi-index with one derivative removed on `axis`."""
-        if self.components[axis] < 1:
-            raise ValueError(f"axis {axis} has no derivative to lower")
-        comps = list(self.components)
-        comps[axis] -= 1
-        return MultiIndex(tuple(comps))
 
 
 def as_multi_index(alpha, dimension: int) -> MultiIndex:
@@ -365,21 +357,19 @@ class KernelModel:
 
 
 def _tensor_integral(f, d: int, radius: float) -> float:
-    """Tensor Gauss-Legendre integral over [-radius, radius]^d to 1e-10 by panel doubling."""
+    """Tensor Gauss-Legendre integral over [-radius, radius]^d; `refine` doubles the panels."""
     if d > 3:
         raise ValueError(
             "tensor quadrature beyond d = 3 is not supported; "
             "use a product kernel or supply the constant"
         )
-    prev = None
-    for level in range(6):
+
+    def at_level(level):
         panels = (4 if radius > 2 else 2) * 2**level
         pts, ws = tensor_rule(*gauss_legendre_panels(-radius, radius, panels, order=12), d)
-        val = float(np.dot(ws, f(pts)))
-        if prev is not None and abs(val - prev) <= 1e-10:
-            return val
-        prev = val
-    raise QuadratureError(f"tensor integral did not converge to 1e-10 in d={d}")
+        return float(np.dot(ws, f(pts)))
+
+    return refine(at_level, range(6), 1e-10, f"tensor integral in d={d}")[0]
 
 
 def kernel_quadrature(model: KernelModel, level: int = 0):
@@ -454,24 +444,3 @@ def norm_moment(model: KernelModel, s: int = 2) -> float:
     f = lambda p: np.abs(model.eval_fn(p)) * np.sum(p * p, axis=1) ** (s / 2.0)
     return _tensor_integral(f, model.dimension, model.support_radius)
 
-
-def finite_difference_check(model: KernelModel, alpha, points, h: float = 1e-3) -> float:
-    """Largest gap between d^alpha K and a central difference of d^(alpha - e_j).
-
-    Differentiates once along the first axis carrying a derivative; the
-    lower-order partial comes from the model itself, so the check validates
-    each derivative order against the one below it.
-    """
-    mi = as_multi_index(alpha, model.dimension)
-    if mi.order == 0:
-        raise ValueError("finite-difference check needs |alpha| >= 1")
-    axis = next(j for j, aj in enumerate(mi.components) if aj > 0)
-    lower = mi.lowered(axis)
-    pts, _ = as_points(points, model.dimension)
-    shift = np.zeros(model.dimension)
-    shift[axis] = h
-    fd = (model.deriv_eval(lower, pts + shift) - model.deriv_eval(lower, pts - shift)) / (
-        2.0 * h
-    )
-    exact = model.deriv_eval(mi, pts)
-    return float(np.max(np.abs(fd - exact)))

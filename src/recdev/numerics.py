@@ -10,9 +10,10 @@ Two node families cover every integral in the package:
 Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly
 doubles the node count, and the difference between two consecutive levels is
-used as the error estimate.  A rule that cannot meet the requested absolute
-tolerance within the level budget raises QuadratureError rather than
-returning a silent best-effort value.
+used as the error estimate.  `refine` is the one loop that compares levels,
+and `agrees` its one acceptance rule: absolute for values below 1, relative
+above.  A quantity that cannot meet its tolerance within the level budget
+raises QuadratureError rather than returning a silent best-effort value.
 """
 
 from __future__ import annotations
@@ -110,6 +111,31 @@ def tanh_sinh(a: float, b: float, level: int):
     return x, w * scale
 
 
+def agrees(gap, value, tol: float) -> bool:
+    """max(gap) <= tol * max(1, max|value|): absolute below 1, relative above."""
+    return float(np.max(gap)) <= tol * max(1.0, float(np.max(np.abs(value))))
+
+
+def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str):
+    """(value, level) at the first of `levels` that agrees with the one before.
+
+    `at_level(level)` evaluates the quantity (a float or an array) at one
+    quadrature level; the finer of the first two consecutive levels that
+    pass `agrees` is returned with its level.  Running out of `levels`
+    raises QuadratureError naming `what`.
+    """
+    prev = None
+    for level in levels:
+        val = at_level(level)
+        if prev is not None and agrees(np.abs(val - prev), val, tol):
+            return val, level
+        prev = val
+    raise QuadratureError(
+        f"{what} did not reach tol {tol:g} by level {level} "
+        f"(last two-level delta {float(np.max(np.abs(val - prev))):.3g})"
+    )
+
+
 def integrate_to_tol(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -118,51 +144,36 @@ def integrate_to_tol(
     tol: float = 1e-10,
     max_level: int = 9,
 ) -> float:
-    """Integrate a vectorised callable on [a, b] to absolute tolerance.
+    """Integrate a vectorised callable on [a, b] to `tol` (relative above 1).
 
     Composite Gauss-Legendre panels are doubled until two consecutive
-    levels agree within `tol`; raises QuadratureError if the budget runs
+    levels agree by `agrees`; raises QuadratureError if the budget runs
     out.  For endpoint singularities use `tanh_sinh` nodes directly.
     """
-    prev = None
-    for level in range(max_level + 1):
+
+    def at_level(level):
         x, w = gauss_legendre_panels(a, b, 2**level, order=16)
-        val = float(np.dot(w, f(x)))
-        if prev is not None and abs(val - prev) <= tol:
-            return val
-        prev = val
-    raise QuadratureError(
-        f"integral on [{a}, {b}] did not reach abs tol {tol:g} "
-        f"within {max_level} refinement levels (last delta "
-        f"{abs(val - prev):.3g})"
-    )
+        return float(np.dot(w, f(x)))
+
+    return refine(at_level, range(max_level + 1), tol, f"integral on [{a}, {b}]")[0]
 
 
 class NeumaierSum:
     """Compensated accumulator (Neumaier variant of Kahan summation).
 
-    Works on scalars or fixed-shape numpy arrays.  `add` folds in one term;
-    `total` returns sum + carry without disturbing the running state.
+    Works on scalars (the default shape ()) or fixed-shape numpy arrays.
+    `add` folds in one term; `total` returns sum + carry without disturbing
+    the running state.
     """
 
-    def __init__(self, shape=None):
-        if shape is None:
-            self._s = 0.0
-            self._c = 0.0
-        else:
-            self._s = np.zeros(shape)
-            self._c = np.zeros(shape)
+    def __init__(self, shape=()):
+        self._s = np.zeros(shape)
+        self._c = np.zeros(shape)
 
     def add(self, x) -> None:
         t = self._s + x
-        if isinstance(self._s, np.ndarray):
-            big = np.abs(self._s) >= np.abs(x)
-            self._c += np.where(big, (self._s - t) + x, (x - t) + self._s)
-        else:
-            if abs(self._s) >= abs(x):
-                self._c += (self._s - t) + x
-            else:
-                self._c += (x - t) + self._s
+        big = np.abs(self._s) >= np.abs(x)
+        self._c += np.where(big, (self._s - t) + x, (x - t) + self._s)
         self._s = t
 
     @property

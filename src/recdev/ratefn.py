@@ -22,9 +22,10 @@ I is finite everywhere.  I vanishes exactly at t = psi'(0).
 Numerics: psi and its derivatives share one tensor quadrature, tanh-sinh in
 both s (against the algebraic s^(a d) endpoint behaviour) and z (node
 clustering at the support edges resolves the exp boundary layer for very
-negative u), refined level by level until two levels agree within the
-absolute tolerance; the conjugate is evaluated by inverting psi' with a
-bracketed Newton iteration safeguarded by bisection.
+negative u), refined by `numerics.refine` until two levels agree (absolute
+below 1, relative above, since psi grows like exp(u sup K/(1 - a d))); the
+conjugate is evaluated by inverting psi' with a bracketed Newton iteration
+safeguarded by bisection.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 from .kernels import KernelModel, tensor_rule
 from .numerics import (
     EXP_ARG_LIMIT,
-    QuadratureError,
     RootFindError,
     check_exp_bound,
+    refine,
     tanh_sinh,
 )
 
@@ -83,8 +84,8 @@ class RateValue:
         return "inf" if not self.finite else repr(self.value)
 
 
-# two consecutive levels of psi, psi' or psi'' must agree to this absolute
-# gap, within at most this many levels
+# two consecutive levels of psi, psi' or psi'' must agree to this gap
+# (relative once the values exceed 1), within at most this many levels
 _PSI_TOL = 1e-10
 _MAX_LEVEL = 4
 # psi'(u) = t is solved to this absolute residual (plus a 4-ulp cushion)
@@ -103,12 +104,13 @@ class PsiEvaluator:
     """Evaluates psi, psi', psi'' and the conjugate transform for one kernel.
 
     Every call escalates from level 0 until two consecutive levels agree
-    within `_PSI_TOL` (checked on probe points for vectorised calls) and returns
-    the finer of the two, so a value depends on its input alone, never on
-    earlier calls.  Node tables are cached per level, and the s x z argument
-    matrix too while it stays under `_ARG_CACHE_CAP` entries; larger levels
-    rebuild it block by block on every call.  Exhausting the `_MAX_LEVEL`
-    budget raises QuadratureError; exp arguments beyond the 700 guard raise
+    within `_PSI_TOL`, relative once the values exceed 1 (checked on probe
+    points for vectorised calls), and returns the finer of the two, so a
+    value depends on its input alone, never on earlier calls.  Node tables
+    are cached per level, and the s x z argument matrix too while it stays
+    under `_ARG_CACHE_CAP` entries; larger levels rebuild it block by block
+    on every call.  Exhausting the `_MAX_LEVEL` budget raises
+    QuadratureError; exp arguments beyond the 700 guard raise
     OverflowGuardError before any overflow happens.
     """
 
@@ -202,21 +204,12 @@ class PsiEvaluator:
             idx = np.unique(np.linspace(0, arr.size - 1, 9).astype(int))
             order = np.argsort(np.abs(arr))
             probes = np.concatenate([arr[order[idx]], [arr[order[-1]]]])
-        level = 0
-        lo = self._eval_level(probes, level, kinds)
-        while True:
-            hi = self._eval_level(probes, level + 1, kinds)
-            err = float(np.max(np.abs(hi - lo)))
-            if err <= _PSI_TOL:
-                break
-            level += 1
-            if level + 1 > _MAX_LEVEL:
-                raise QuadratureError(
-                    f"psi tensor rule did not reach abs tol {_PSI_TOL:g} "
-                    f"(last two-level delta {err:.3g})"
-                )
-            lo = hi
-        vals = hi if probes is arr else self._eval_level(arr, level + 1, kinds)
+        vals, level = refine(
+            lambda level: self._eval_level(probes, level, kinds),
+            range(_MAX_LEVEL + 1), _PSI_TOL, "psi tensor rule",
+        )
+        if probes is not arr:
+            vals = self._eval_level(arr, level, kinds)
         if scalar:
             return [float(v[0]) for v in vals]
         return [v.reshape(np.shape(u)) for v in vals]

@@ -244,6 +244,15 @@ def test_cgf_exit_zero_when_gaps_shrink(tmp_path, capsys):
     assert [p["n"] for p in summary["per_n"]] == [100, 1000]
 
 
+def test_cgf_at_large_u_exits_zero(tmp_path):
+    # psi(40) is about 6e8 here, so its two levels can only agree relatively
+    rc = cli.main(
+        ["cgf", "--c", "0.3", "--a", "0.3", "--u", "10,40", "--n", "100,1000",
+         "--out", str(tmp_path / "o")]
+    )
+    assert rc == 0
+
+
 def test_simulate_failing_verdict_exits_one(tmp_path, capsys):
     path = _write_cfg(
         tmp_path, bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,

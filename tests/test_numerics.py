@@ -15,6 +15,7 @@ from recdev.numerics import (
     compensated_cumsum,
     gauss_legendre_panels,
     integrate_to_tol,
+    refine,
     tanh_sinh,
 )
 
@@ -55,6 +56,33 @@ def test_integrate_to_tol_converges_and_reports_failure():
     with pytest.raises(QuadratureError):
         # nowhere-resolvable oscillation at a coarse level budget
         integrate_to_tol(lambda x: np.sin(1e7 * x), 0.0, 1.0, tol=1e-14, max_level=1)
+
+
+def test_refine_returns_finer_level_or_names_the_quantity():
+    seen = []
+
+    def at_level(level):
+        seen.append(level)
+        return np.array([1.0, 2.0**-level])
+
+    # gaps 0.5, 0.25, ...: the first within 0.2 (relative to 1) is 0.125
+    val, level = refine(at_level, range(10), 0.2, "halving")
+    assert level == 3 and seen == [0, 1, 2, 3]
+    assert_allclose(val, [1.0, 0.125])
+    with pytest.raises(QuadratureError, match="halving"):
+        refine(at_level, range(3), 0.2, "halving")
+
+
+def test_refine_is_absolute_below_one_and_relative_above():
+    def pair(value, gap):
+        return lambda level: value + (gap if level == 1 else 0.0)
+
+    # value 0.5: a gap of 2e-10 exceeds tol 1e-10
+    with pytest.raises(QuadratureError):
+        refine(pair(0.5, 2e-10), (0, 1), 1e-10, "small value")
+    # value 1e6: a gap of 5e-5 is 5e-11 relative, within tol 1e-10
+    val, level = refine(pair(1e6, 5e-5), (0, 1), 1e-10, "large value")
+    assert level == 1 and val == 1e6 + 5e-5
 
 
 def test_check_exp_bound():

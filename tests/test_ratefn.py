@@ -51,6 +51,32 @@ def test_psi_matches_nested_quad_oracle(kernel, a, u, zmax):
     assert_allclose(ours, ref, rtol=5e-10)
 
 
+def _psi_oracle_large_u(kernel, a, u):
+    # relative-tolerance nested quad, folded in z since the kernels are even;
+    # psi grows like exp(u sup K/(1 - a)), so an absolute tolerance says nothing
+    from scipy.integrate import quad
+
+    r = kernel.support_radius
+    k = lambda z: float(kernel.eval(np.array([[z]]))[0])
+
+    def inner(s):
+        val, _ = quad(lambda z: math.expm1(s**a * u * k(z) / (1 - a)), 0.0, r,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        return 2.0 * s ** (-a) * val
+
+    return quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("name", ("gaussian", "epanechnikov", "quartic"))
+def test_psi_at_large_u_matches_relative_oracle(name):
+    # at u = 40, psi reaches 6e8 (gaussian) to 2e21 (quartic); two levels
+    # can only agree relatively there
+    kernel = builtin_kernel(name, 1)
+    ev = PsiEvaluator(kernel, 0.3)
+    for u in (10.0, 20.0, 40.0):
+        assert_allclose(ev.psi(u), _psi_oracle_large_u(kernel, 0.3, u), rtol=1e-10)
+
+
 def test_psi_at_zero_and_slope():
     ev = PsiEvaluator(GAUSS, 0.3)
     assert float(ev.psi(0.0)) == 0.0
