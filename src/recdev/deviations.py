@@ -9,6 +9,13 @@ so results do not depend on chunking or thread scheduling.  Within a
 replication the checkpoint estimates at n_1 < n_2 < ... reuse one stream
 prefix: segment sums between checkpoints accumulate into prefix sums, so a
 full n_max-observation stream is simulated once per replication.
+Replications run in chunks of `chunk_target // n_max` (at least one), so
+the (replications x n_max) arrays of a chunk hold about 2^16 observations
+(512 kB in d = 1) and stay in cache.  Each worker draws its chunks into one
+sample buffer and builds the kernel arguments in one more, both reused
+from chunk to chunk, so the loop neither reallocates nor page-faults them.
+Memory is flat in R; it grows with n_max only once n_max exceeds the
+budget and a chunk is a single replication.
 
 Reports juxtapose the empirical normalized log-probabilities
 (1/b_n) log p_hat_n with the theoretical reference g(delta), the smaller of
@@ -62,7 +69,7 @@ class DeviationExperiment:
     rng_seed: int
     region: Optional[np.ndarray] = None  # grid for U in sup mode
     xi: Optional[float] = None  # moment exponent for the unbounded-U bound
-    chunk_target: int = 4_000_000  # rep-chunking budget in stream entries
+    chunk_target: int = 1 << 16  # rep-chunking budget in stream entries
 
     def __post_init__(self):
         if self.replications < 1:
@@ -158,34 +165,40 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
     target = spec.density.partial(alpha.components, grid)
     delta = exp.delta
 
-    chunk = max(1, int(exp.chunk_target // max(n_max, 1)))
+    chunk = min(max(1, int(exp.chunk_target // max(n_max, 1))), exp.replications)
     n_chunks = (exp.replications + chunk - 1) // chunk
+    workers = min(_thread_count(), n_chunks)
 
-    def run_chunk(c: int) -> np.ndarray:
-        r0 = c * chunk
-        r1 = min(r0 + chunk, exp.replications)
-        b = r1 - r0
-        X = np.empty((b, n_max, d))
-        for j in range(b):
-            bitgen = np.random.Philox(key=np.array([exp.rng_seed, r0 + j], dtype=np.uint64))
-            X[j] = spec.density.sample(np.random.Generator(bitgen), n_max)
-        sup_stat = np.zeros((b, len(n_list)))
-        for g in range(len(grid)):
-            z = (grid[g][None, None, :] - X) / hs[None, :, None]
-            vals = kernel.deriv_eval(alpha, z.reshape(-1, d)).reshape(b, n_max)
-            vals *= inv[None, :]
-            seg = np.add.reduceat(vals, starts, axis=1)
-            est = np.cumsum(seg, axis=1) / n_list[None, :]
-            stat = np.abs(est - target[g]) * v_at[None, :]
-            np.maximum(sup_stat, stat, out=sup_stat)
-        return (sup_stat >= delta).sum(axis=0).astype(np.int64)
+    def run_chunks(chunks) -> np.ndarray:
+        X_buf = np.empty((chunk, n_max, d))
+        z_buf = np.empty_like(X_buf)
+        counts = np.zeros(len(n_list), dtype=np.int64)
+        for c in chunks:
+            r0 = c * chunk
+            b = min(chunk, exp.replications - r0)
+            X, z = X_buf[:b], z_buf[:b]
+            for j in range(b):
+                bitgen = np.random.Philox(key=np.array([exp.rng_seed, r0 + j], dtype=np.uint64))
+                X[j] = spec.density.sample(np.random.Generator(bitgen), n_max)
+            sup_stat = np.zeros((b, len(n_list)))
+            for g in range(len(grid)):
+                np.subtract(grid[g], X, out=z)
+                z /= hs[:, None]
+                vals = kernel.deriv_eval(alpha, z.reshape(-1, d)).reshape(b, n_max)
+                vals *= inv
+                seg = np.add.reduceat(vals, starts, axis=1)
+                est = np.cumsum(seg, axis=1) / n_list[None, :]
+                stat = np.abs(est - target[g]) * v_at[None, :]
+                np.maximum(sup_stat, stat, out=sup_stat)
+            counts += (sup_stat >= delta).sum(axis=0)
+        return counts
 
-    workers = _thread_count()
-    if workers > 1 and n_chunks > 1:
+    groups = [range(w, n_chunks, workers) for w in range(workers)]
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, range(n_chunks)))
+            parts = list(pool.map(run_chunks, groups))
     else:
-        parts = [run_chunk(c) for c in range(n_chunks)]
+        parts = list(map(run_chunks, groups))
     return np.sum(parts, axis=0)
 
 

@@ -163,7 +163,9 @@ class NeumaierSum:
 
     Works on scalars (the default shape ()) or fixed-shape numpy arrays.
     `add` folds in one term; `total` returns sum + carry without disturbing
-    the running state.
+    the running state.  Each step's rounding error comes from Knuth's
+    branch-free TwoSum; it is exact, so it equals Neumaier's branch bit for
+    bit, in 7 array operations instead of 10.
     """
 
     def __init__(self, shape=()):
@@ -171,9 +173,10 @@ class NeumaierSum:
         self._c = np.zeros(shape)
 
     def add(self, x) -> None:
-        t = self._s + x
-        big = np.abs(self._s) >= np.abs(x)
-        self._c += np.where(big, (self._s - t) + x, (x - t) + self._s)
+        s = self._s
+        t = s + x
+        bp = t - s
+        self._c += (s - (t - bp)) + (x - bp)
         self._s = t
 
     @property

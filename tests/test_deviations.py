@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from recdev.densities import GaussianDensity, UniformBoxDensity
 from recdev.deviations import (
     DeviationExperiment,
     UnderpoweredExperimentError,
+    _simulate_counts,
     chernoff_upper_curve,
     run_bias_study,
     run_pointwise,
@@ -100,6 +102,26 @@ def test_counts_invariant_to_thread_count(monkeypatch):
     monkeypatch.setenv("RECDEV_THREADS", "4")
     threaded = run_pointwise(_exp(_spec(), chunk_target=3_000), "mdp")
     assert threaded == base
+
+
+@pytest.mark.parametrize(
+    "c, delta, n_list, replications, region",
+    [
+        (0.35, 0.2, (500, 2000, 8000), 2000, None),
+        (0.3, 0.22, (300, 1200, 4800), 1000, np.arange(-1.0, 1.001, 0.25)),
+    ],
+    ids=["chernoff_shape", "nine_point_region"],
+)
+def test_simulation_memory_stays_within_the_chunk_budget(c, delta, n_list, replications, region):
+    exp = _exp(_spec(c=c), delta=delta, n_list=n_list, replications=replications, region=region)
+    grid = exp.spec.point.reshape(1, -1) if region is None else exp.region
+    tracemalloc.start()
+    try:
+        _simulate_counts(exp, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_singleton_region_matches_pointwise():

@@ -16,6 +16,7 @@ from recdev.kernels import (
     as_multi_index,
     as_points,
     builtin_kernel,
+    hermite_phi,
     kernel_moment,
     kernel_quadrature,
     norm_moment,
@@ -132,6 +133,61 @@ def test_gaussian_hermite_values():
     phi = np.exp(-z[:, 0] ** 2 / 2) / math.sqrt(2 * math.pi)
     assert_allclose(g.deriv_eval((1,), z), -z[:, 0] * phi, rtol=1e-12)
     assert_allclose(g.deriv_eval((2,), z), (z[:, 0] ** 2 - 1) * phi, rtol=1e-12)
+
+
+def _unflushed_phi(k, x):
+    """phi^(k)(x) by the formula without the e^-700 floor on exp."""
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    if k == 0:
+        return phi
+    he_prev, he = np.ones_like(x), np.array(x, dtype=float, copy=True)
+    for j in range(1, k):
+        he_prev, he = he, x * he - j * he_prev
+    return ((-1.0) ** k) * he * phi
+
+
+def _gaussian_phi_routes(k):
+    """hermite_phi and the gaussian kernel's eval/deriv_eval, as functions of x."""
+    g = builtin_kernel("gaussian", 1)
+    routes = [lambda x: hermite_phi(k, x), lambda x: g.deriv_eval((k,), x)]
+    if k == 0:
+        routes.append(g.eval)
+    return routes
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_gaussian_phi_flush_keeps_every_bit_above_the_floor(k):
+    edge = math.sqrt(1400.0)
+    near_edge = [edge]
+    for _ in range(3):
+        near_edge = [np.nextafter(near_edge[0], 0.0)] + near_edge + [np.nextafter(near_edge[-1], 40.0)]
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(-37.4, 37.4, 20001), rng.normal(0.0, 15.0, 5000), near_edge])
+    x = np.concatenate([x, -x])
+    inside = -0.5 * x * x >= -700.0
+    assert inside[-7:].any() and not inside[-7:].all()  # the floor falls among the edge ulps
+    want = _unflushed_phi(k, x[inside]).view(np.uint64)
+    for route in _gaussian_phi_routes(k):
+        got = route(x)
+        assert np.array_equal(got[inside].view(np.uint64), want)
+        assert np.all(got[~inside] == 0.0)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_gaussian_phi_is_zero_beyond_the_floor_and_keeps_nan(k):
+    far = np.array([37.5, 38.6, 1e3, np.inf])
+    x = np.concatenate([far, -far, [np.nan]])
+    for route in _gaussian_phi_routes(k):
+        got = route(x)
+        assert np.all(got[:-1] == 0.0)
+        assert np.isnan(got[-1])
+        # scalar and 0-d input give the value of the 1-element array
+        for v in (1.5, -37.5, np.inf):
+            want = route(np.array([v]))[0]
+            for arg in (v, np.array(v)):
+                out = route(arg)
+                assert np.shape(out) == () and out == want
+        assert np.isnan(route(np.nan))
 
 
 def test_derivative_order_cap():

@@ -114,6 +114,32 @@ def test_neumaier_cancellation():
     assert acc.total == 1.0
 
 
+def _neumaier_branch_states(terms):
+    """(sum, carry) after each term by Neumaier's branch, the form TwoSum replaced."""
+    s = np.zeros(terms.shape[1:])
+    c = np.zeros(terms.shape[1:])
+    for x in terms:
+        t = s + x
+        c = c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+        s = t
+        yield s, c
+
+
+def test_neumaier_twosum_step_is_bit_identical_to_the_branch():
+    rng = np.random.default_rng(5)
+    mixed = rng.choice([-1.0, 1.0], (4000, 5)) * 10.0 ** rng.uniform(-20, 20, (4000, 5))
+    # every term followed by its negative
+    equal = np.repeat(mixed[:500], 2, axis=0) * np.tile([[1.0], [-1.0]], (500, 5))
+    zeros = np.array([[0.0, -0.0, 0.0, -0.0, 1e-20], [-0.0, -0.0, 0.0, 0.0, -1e-20]] * 50)
+    scalar = np.array([-0.0, 0.0, 1e20, 1.0, -1e20, -0.0, 1e-20, -1.0, -1e-20, -0.0])
+    for terms in (mixed, equal, zeros, np.concatenate([zeros, equal, mixed, zeros]), scalar):
+        acc = NeumaierSum(shape=terms.shape[1:])
+        for x, (s, c) in zip(terms, _neumaier_branch_states(terms)):
+            acc.add(x)
+            assert acc._s.tobytes() == s.tobytes() and acc._c.tobytes() == c.tobytes()
+        assert acc.total.tobytes() == (s + c).tobytes()
+
+
 @given(
     st.lists(
         st.floats(min_value=-1e8, max_value=1e8, allow_nan=False),
