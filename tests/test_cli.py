@@ -336,6 +336,60 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o" / "simulate.csv").exists()
 
 
+_N_LIST_SUBCOMMANDS = ("estimate", "cgf", "simulate", "bias", "chernoff")
+_STRUCTURAL_FAULTS = [
+    ("rate", dict(kernel="box")),
+    ("rate", dict(dimension=0)),
+    ("rate", dict(dimension=1.5)),
+    ("estimate", dict(bandwidth_kind="exponential")),
+    ("estimate", dict(bandwidth_c=0.0)),
+    ("estimate", dict(bandwidth_c=-1.0)),
+    ("estimate", dict(bandwidth_a=-0.1)),
+    ("estimate", dict(bandwidth_a=1.0)),
+    ("cgf", dict(scaling_kind="log")),
+    ("cgf", dict(scaling_kind="power", scaling_b=0.0)),
+    ("cgf", dict(scaling_kind="power", scaling_b=0.5)),
+    ("rate", dict(alpha=[0, 0])),
+    ("rate", dict(alpha=[-1])),
+    ("rate", dict(alpha=[1.5])),
+    ("rate", dict(kernel="epanechnikov", alpha=[1])),
+    ("estimate", dict(density="cauchy")),
+    ("estimate", dict(density_sigma=[-1.0])),
+    ("estimate", dict(density="gaussian_mixture")),
+    ("estimate", dict(dimension=2, point=[0.0, 0.0])),
+    ("simulate", dict(dimension=2, point=[0.0, 0.0])),
+    ("estimate", dict(point=[0.0, 0.0])),
+    ("simulate", dict(mode="fast")),
+    *[(sub, dict(n_list=ns)) for sub in _N_LIST_SUBCOMMANDS
+      for ns in ([], [100, 50], [10.0, 20])],
+    ("simulate", dict(delta=0.0)),
+    ("chernoff", dict(delta=-0.1)),
+    ("simulate", dict(replications=0)),
+    ("chernoff", dict(replications=2.5)),
+    ("cgf", dict(u_values=[])),
+    ("rate", dict(t_grid="0:1")),
+    ("rate", dict(t_grid="1:0:0.1")),
+    ("bias", dict(q=1.5)),
+    ("bias", dict(m_q=0.0)),
+    ("simulate", dict(xi=0.0, region="0:1:0.5")),
+    ("simulate", dict(xi=-1.0)),
+    ("simulate", dict(region=[[0.0, 1.0]])),
+]
+
+
+@pytest.mark.parametrize(
+    "sub,fields", _STRUCTURAL_FAULTS,
+    ids=[f"{sub}-{'-'.join(f'{k}={v}' for k, v in fields.items())}"
+         for sub, fields in _STRUCTURAL_FAULTS],
+)
+def test_each_structural_fault_exits_two(tmp_path, capsys, sub, fields):
+    path = _write_cfg(tmp_path, **{"replications": 50, **fields})
+    rc = cli.main([sub, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err
+    assert not (tmp_path / "o" / f"{sub}.csv").exists()
+
+
 def test_broken_json_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{nope}")
