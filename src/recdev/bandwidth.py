@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NeumaierSum, agrees, compensated_cumsum
+from .numerics import NeumaierSum, agrees, as_count, compensated_cumsum
 
 BANDWIDTH_KINDS = ("power", "power_log")
 SCALING_KINDS = ("constant_one", "power")
@@ -289,9 +289,7 @@ def regular_variation_limit_check(
             f"a * beta = {schedule.a * beta:.4g} >= 1: normalised sums diverge "
             "from the stated limit"
         )
-    n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise ValueError("n values must be >= 1")
+    n_list = [as_count(n, "n values") for n in n_list]
     n_max = max(n_list)
     sums = schedule.prefix_sums(beta, n_max)
     h = schedule.values(n_max)

@@ -43,7 +43,7 @@ import numpy as np
 from .bandwidth import BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
-from .numerics import check_exp_bound, refine
+from .numerics import check_exp_bound, refine, sample_sizes
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
@@ -68,6 +68,9 @@ class CgfSpec:
     def __post_init__(self):
         d = self.kernel.dimension
         self.alpha = as_multi_index(self.alpha, d)
+        self.kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
+        if self.density.dimension != d:
+            raise ValueError(f"density has dimension {self.density.dimension}, kernel has {d}")
         self.schedule.check_compatible(d, self.alpha.order)
         pt = np.asarray(self.point, dtype=np.float64).reshape(-1)
         if len(pt) != d:
@@ -207,11 +210,9 @@ class CgfConvergence:
 def convergence_diagnostic(spec: CgfSpec, u_values, n_values) -> CgfConvergence:
     """Tabulate L_n over u for each n against the limiting curve."""
     u = np.asarray(u_values, dtype=np.float64).reshape(-1)
-    ns = np.asarray(n_values, dtype=np.int64).reshape(-1)
-    if len(u) == 0 or len(ns) == 0:
-        raise ValueError("need at least one u and one n")
-    if np.any(ns < 1) or np.any(np.diff(ns) <= 0):
-        raise ValueError("n_values must be increasing positive integers")
+    ns = np.asarray(sample_sizes(n_values, "n_values"), dtype=np.int64)
+    if len(u) == 0:
+        raise ValueError("need at least one u")
     limit = np.atleast_1d(cgf_limit(spec, u))
     rows = np.empty((len(ns), len(u)))
     for r, n in enumerate(ns):

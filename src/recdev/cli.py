@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import BANDWIDTH_KINDS, SCALING_KINDS, BandwidthSchedule, ScalingSequence
+from .bandwidth import BandwidthSchedule, ScalingSequence
 from .cgf import CgfSpec, convergence_diagnostic
 from .densities import build_density
 from .deviations import (
@@ -53,9 +53,8 @@ from .deviations import (
     run_uniform,
 )
 from .estimator import batch_values
-from .kernels import KERNEL_NAMES, builtin_kernel, tensor_grid
-from .numerics import OverflowGuardError, QuadratureError, RootFindError
-from .ratefn import PsiEvaluator
+from .kernels import builtin_kernel, tensor_grid
+from .numerics import OverflowGuardError, QuadratureError, RootFindError, as_count, sample_sizes
 
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 
@@ -93,15 +92,9 @@ class ExperimentConfig:
     m_q: Optional[float] = None
     out: str = "."
 
-    def alpha_components(self) -> list:
-        return list(self.alpha) if self.alpha else [0] * self.dimension
-
-    def alpha_order(self) -> int:
-        return int(sum(self.alpha_components()))
-
     def regime(self) -> str:
         """"ldp" for the plain unscaled estimator, else "mdp"."""
-        return "ldp" if self.scaling_kind == "constant_one" and self.alpha_order() == 0 else "mdp"
+        return "ldp" if self.scaling_kind == "constant_one" and sum(self.alpha) == 0 else "mdp"
 
     def resolved_mode(self) -> str:
         if self.mode is not None:
@@ -182,100 +175,43 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis validation.  Centralized so the messages can cite the tags; the
-# numerical modules still enforce their own hard preconditions defensively.
-
-
-def _structural(cfg: ExperimentConfig, sub: str, bad: list) -> None:
-    if cfg.kernel not in KERNEL_NAMES:
-        bad.append(f"kernel must be one of {', '.join(KERNEL_NAMES)}; got '{cfg.kernel}'")
-    if not (isinstance(cfg.dimension, int) and cfg.dimension >= 1):
-        bad.append(f"dimension must be a positive integer; got {cfg.dimension!r}")
-        return
-    if cfg.bandwidth_kind not in BANDWIDTH_KINDS:
-        kinds = " or ".join(BANDWIDTH_KINDS)
-        bad.append(f"bandwidth_kind must be {kinds}; got '{cfg.bandwidth_kind}'")
-    if not cfg.bandwidth_c > 0:
-        bad.append(f"bandwidth_c must be positive; got {cfg.bandwidth_c}")
-    if not 0 <= cfg.bandwidth_a < 1:
-        bad.append(f"bandwidth_a must lie in [0, 1); got {cfg.bandwidth_a}")
-    if cfg.scaling_kind not in SCALING_KINDS:
-        kinds = " or ".join(SCALING_KINDS)
-        bad.append(f"scaling_kind must be {kinds}; got '{cfg.scaling_kind}'")
-    elif cfg.scaling_kind == "power" and not 0 < cfg.scaling_b < 0.5:
-        bad.append(f"scaling_b must lie in (0, 1/2); got {cfg.scaling_b}")
-    alpha = cfg.alpha_components()
-    if len(alpha) != cfg.dimension or any(
-        not (isinstance(k, int) and k >= 0) for k in alpha
-    ):
-        bad.append(f"alpha must hold {cfg.dimension} nonnegative integers; got {cfg.alpha}")
-        alpha = [0] * cfg.dimension
-    if cfg.kernel in KERNEL_NAMES:
-        kernel = builtin_kernel(cfg.kernel, cfg.dimension)
-        if sum(alpha) > kernel.max_derivative_order:
-            bad.append(
-                f"kernel '{cfg.kernel}' supports derivatives up to order "
-                f"{kernel.max_derivative_order}; got |alpha| = {sum(alpha)}"
-            )
-    try:
-        density = build_density(cfg.density, cfg.density_params)
-        if density.dimension != cfg.dimension:
-            bad.append(
-                f"density has dimension {density.dimension}, config says {cfg.dimension}"
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"density: {exc}")
-    pt = np.asarray(cfg.point, dtype=np.float64).reshape(-1)
-    if pt.size != cfg.dimension:
-        bad.append(f"point must have {cfg.dimension} coordinates; got {cfg.point}")
-    if cfg.mode is not None and cfg.mode not in _MODES:
-        bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
-    if sub in ("simulate", "chernoff", "cgf", "estimate", "bias"):
-        ns = list(cfg.n_list)
-        if not ns or any(not (isinstance(n, int) and n >= 1) for n in ns) or any(
-            b <= a for a, b in zip(ns, ns[1:])
-        ):
-            bad.append(f"n_list must be strictly increasing positive integers; got {cfg.n_list}")
-    if sub in ("simulate", "chernoff"):
-        if not cfg.delta > 0:
-            bad.append(f"delta must be positive; got {cfg.delta}")
-        if not (isinstance(cfg.replications, int) and cfg.replications >= 1):
-            bad.append(f"replications must be a positive integer; got {cfg.replications}")
-    if sub == "cgf" and not cfg.u_values:
-        bad.append("u_values must be nonempty")
-    if sub == "rate":
-        try:
-            parse_range(cfg.t_grid)
-        except ValueError as exc:
-            bad.append(str(exc))
-    if sub == "bias":
-        if not (isinstance(cfg.q, int) and cfg.q >= 2):
-            bad.append(f"q must be an integer >= 2; got {cfg.q}")
-        if cfg.m_q is not None and not cfg.m_q > 0:
-            bad.append(f"m_q must be positive when given; got {cfg.m_q}")
-    if cfg.xi is not None and not cfg.xi > 0:
-        bad.append(f"xi must be positive when given; got {cfg.xi}")
-    if cfg.region is not None:
-        try:
-            region_points(cfg)
-        except ValueError as exc:
-            bad.append(f"region: {exc}")
+# Validation.  The library constructors check structure (names, ranges,
+# integer fields, shapes) and their messages are reported as they are;
+# `validate` adds only the hypotheses each subcommand relies on, citing tags.
 
 
 def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
-    """Pure check of the hypothesis constraints a subcommand relies on.
+    """Pure check of a config against what a subcommand relies on.
 
-    Returns the list of violations, each naming its hypothesis tag; an
-    empty list means the run may proceed.  Purely structural problems
-    (unknown names, shape mismatches) are reported without a tag.
+    Returns the list of violations; an empty list means the run may
+    proceed.  Each step runs only if the ones before it found nothing:
+    (1) the fields no library object owns (mode, q, m_q, and n_list where
+    no experiment holds it), then building the kernel with its alpha
+    derivative, the two sequences and the density; (2) the hypotheses
+    H2-H10, each citing its tag; (3) building the subcommand's own objects.
+    A constructor's message is reported untagged, first fault only.
     """
     bad: list = []
-    _structural(cfg, subcommand, bad)
+    if cfg.mode is not None and cfg.mode not in _MODES:
+        bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
+    if subcommand == "bias" and cfg.m_q is not None and not cfg.m_q > 0:
+        bad.append(f"m_q must be positive when given; got {cfg.m_q}")
+    try:
+        if subcommand in ("cgf", "simulate", "bias", "chernoff"):  # H7 reads q
+            as_count(cfg.q, "q", 2)
+        if subcommand in ("estimate", "cgf"):
+            sample_sizes(cfg.n_list)
+        builtin_kernel(cfg.kernel, cfg.dimension).partial_fn(cfg.alpha or None)
+        BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)
+        ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b)
+        build_density(cfg.density, cfg.density_params)
+    except (TypeError, ValueError) as exc:
+        bad.append(str(exc))
     if bad:
         return bad
 
     a, b, q = cfg.bandwidth_a, cfg.scaling_b, cfg.q
-    k = cfg.dimension + 2 * cfg.alpha_order()
+    k = cfg.dimension + 2 * sum(cfg.alpha)
     mode = cfg.resolved_mode()
     needs_theory = subcommand in ("rate", "cgf", "simulate", "chernoff")
 
@@ -286,33 +222,40 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
             bad.append(f"(H3): a < 1/(d+2|alpha|)=1/{k}; got a={a:g}")
     if needs_theory and mode == "ldp" and cfg.bandwidth_kind != "power":
         bad.append("(H2): LDP density case requires h_n=cn^{-a}")
+    uniform = subcommand == "simulate" and mode.startswith("uniform")
     if subcommand in ("cgf", "simulate", "chernoff") and cfg.scaling_kind == "power":
         bound = (1 - a * k) / 2
         if not b < bound:
-            bad.append(f"(H6): b must be < (1-a(d+2|alpha|))/2 = {bound:g}; got b={b:g}")
+            tag, case = ("(H10)", " for the uniform case") if uniform else ("(H6)", "")
+            bad.append(f"{tag}: b must be < (1-a(d+2|alpha|))/2 = {bound:g}{case}; got b={b:g}")
         if not b < a * q:
             bad.append(f"(H7)ii): b must be < a*q = {a * q:g}; got b={b:g}")
-    if subcommand == "simulate" and mode.startswith("uniform"):
+    if uniform:
         if cfg.region is None:
             bad.append("uniform mode needs a region grid")
         if mode == "uniform_unbounded" and cfg.xi is None:
             bad.append("(H8)i): unbounded mode needs the moment exponent xi")
-        if cfg.scaling_kind == "power":
-            bound = (1 - a * k) / 2
-            if not b < bound:
-                bad.append(
-                    f"(H10): b must be < (1-a(d+2|alpha|))/2 = {bound:g} "
-                    f"for the uniform case; got b={b:g}"
-                )
     if subcommand == "bias" and q % 2 != 0:
         bad.append(f"(H7)i): builtin kernels have nonzero even moments below odd q; use even q, got q={q}")
     if needs_theory and cfg.mode is not None:
         if mode in ("ldp", "mdp") and mode != cfg.regime():
             bad.append(
                 f"mode '{mode}' conflicts with scaling_kind='{cfg.scaling_kind}' "
-                f"and |alpha|={cfg.alpha_order()}"
+                f"and |alpha|={sum(cfg.alpha)}"
             )
-    return bad
+    if bad:
+        return bad
+    try:
+        if subcommand in ("simulate", "bias", "chernoff"):
+            _build_experiment(cfg)
+        else:
+            _build_spec(cfg)
+            region_points(cfg)
+        if subcommand == "rate":
+            parse_range(cfg.t_grid)
+    except (TypeError, ValueError) as exc:
+        return [str(exc)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +269,7 @@ def _build_spec(cfg: ExperimentConfig) -> CgfSpec:
         scaling=ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b),
         density=build_density(cfg.density, cfg.density_params),
         point=cfg.point,
-        alpha=cfg.alpha_components(),
+        alpha=cfg.alpha or None,
     )
 
 
@@ -334,9 +277,9 @@ def _build_experiment(cfg: ExperimentConfig) -> DeviationExperiment:
     return DeviationExperiment(
         spec=_build_spec(cfg),
         delta=cfg.delta,
-        n_list=tuple(int(n) for n in cfg.n_list),
-        replications=int(cfg.replications),
-        rng_seed=int(cfg.seed),
+        n_list=cfg.n_list,
+        replications=cfg.replications,
+        rng_seed=cfg.seed,
         region=region_points(cfg),
         xi=cfg.xi,
     )
@@ -431,8 +374,7 @@ def _cmd_estimate(cfg: ExperimentConfig):
 
 
 def _cmd_rate(cfg: ExperimentConfig):
-    kernel = builtin_kernel(cfg.kernel, cfg.dimension)
-    psi = PsiEvaluator(kernel, cfg.bandwidth_a)
+    psi = _build_spec(cfg).psi()
     ts = parse_range(cfg.t_grid)
     values = [psi.legendre(float(t)) for t in ts]
     header = ["t", "rate"]

@@ -159,6 +159,8 @@ def build_density(name: str, params: dict) -> Density:
     if name == "gaussian":
         return GaussianDensity(params.get("mean", [0.0]), params.get("sigma", [1.0]))
     if name == "gaussian_mixture":
+        if not {"weights", "means", "sigmas"} <= params.keys():
+            raise ValueError("gaussian_mixture needs weights, means and sigmas")
         return GaussianMixtureDensity(params["weights"], params["means"], params["sigmas"])
     if name == "uniform_box":
         return UniformBoxDensity(params.get("low", [0.0]), params.get("high", [1.0]))

@@ -41,6 +41,7 @@ import numpy as np
 from .cgf import CgfSpec, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
 from .kernels import as_points
+from .numerics import as_count, sample_sizes
 from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
@@ -72,14 +73,10 @@ class DeviationExperiment:
     chunk_target: int = 1 << 16  # rep-chunking budget in stream entries
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        self.replications = as_count(self.replications, "replications")
         if self.delta <= 0:
             raise ValueError("delta must be > 0")
-        ns = tuple(int(n) for n in self.n_list)
-        if len(ns) == 0 or any(n < 1 for n in ns) or any(np.diff(ns) <= 0):
-            raise ValueError("n_list must be increasing positive integers")
-        self.n_list = ns
+        self.n_list = sample_sizes(self.n_list)
         if self.region is not None:
             self.region, _ = as_points(self.region, self.spec.kernel.dimension)
             if len(self.region) == 0:
@@ -172,14 +169,19 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
     def run_chunks(chunks) -> np.ndarray:
         X_buf = np.empty((chunk, n_max, d))
         z_buf = np.empty_like(X_buf)
+        # one Philox per worker, reset to key (seed, r) and a zero counter for
+        # replication r: Philox(key=...) would draw an unused OS seed each time
+        bitgen = np.random.Philox(key=0)
+        gen, fresh = np.random.Generator(bitgen), bitgen.state
         counts = np.zeros(len(n_list), dtype=np.int64)
         for c in chunks:
             r0 = c * chunk
             b = min(chunk, exp.replications - r0)
             X, z = X_buf[:b], z_buf[:b]
             for j in range(b):
-                bitgen = np.random.Philox(key=np.array([exp.rng_seed, r0 + j], dtype=np.uint64))
-                X[j] = spec.density.sample(np.random.Generator(bitgen), n_max)
+                fresh["state"]["key"] = np.array([exp.rng_seed, r0 + j], dtype=np.uint64)
+                bitgen.state = fresh
+                X[j] = spec.density.sample(gen, n_max)
             sup_stat = np.zeros((b, len(n_list)))
             for g in range(len(grid)):
                 np.subtract(grid[g], X, out=z)

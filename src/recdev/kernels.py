@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import gauss_legendre_panels, integrate_to_tol, refine
+from .numerics import as_count, gauss_legendre_panels, integrate_to_tol, refine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -46,11 +46,9 @@ class MultiIndex:
     components: tuple[int, ...]
 
     def __post_init__(self):
-        comps = tuple(int(c) for c in self.components)
+        comps = tuple(as_count(c, "alpha component", 0) for c in self.components)
         if len(comps) == 0:
-            raise ValueError("multi-index needs at least one component")
-        if any(c < 0 for c in comps):
-            raise ValueError(f"multi-index components must be >= 0, got {comps}")
+            raise ValueError("multi-index alpha needs at least one component")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -69,7 +67,7 @@ def as_multi_index(alpha, dimension: int) -> MultiIndex:
     mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha))
     if mi.dimension != dimension:
         raise ValueError(
-            f"multi-index {mi.components} has dimension {mi.dimension}, kernel has {dimension}"
+            f"alpha {mi.components} has dimension {mi.dimension}, kernel has {dimension}"
         )
     return mi
 
@@ -264,7 +262,6 @@ _PROFILES = {
     "epanechnikov": _EpanechnikovProfile(),
     "quartic": _QuarticProfile(),
 }
-KERNEL_NAMES = tuple(_PROFILES)
 
 
 @dataclass
@@ -293,8 +290,7 @@ class KernelModel:
     _sup_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        self.dimension = as_count(self.dimension, "kernel dimension")
         if self.support_radius <= 0:
             raise ValueError("support_radius must be positive")
         if min(self.positive_support_measure, self.negative_support_measure) < 0:
@@ -419,8 +415,6 @@ def builtin_kernel(name: str, d: int = 1) -> KernelModel:
     """
     if name not in _PROFILES:
         raise ValueError(f"unknown kernel '{name}'; choose from {sorted(_PROFILES)}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     profile = _PROFILES[name]
 
     def eval_fn(pts: np.ndarray) -> np.ndarray:

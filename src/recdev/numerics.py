@@ -1,4 +1,5 @@
-"""Shared numerical primitives: quadrature rules, compensated sums, exp guards.
+"""Shared numerical primitives: quadrature rules, compensated sums, exp guards,
+and the integer checks (`as_count`, `sample_sizes`) the constructors share.
 
 Two node families cover every integral in the package:
 
@@ -51,6 +52,24 @@ def check_exp_bound(max_arg: float, context: str) -> None:
         raise OverflowGuardError(
             f"{context}: exp argument {max_arg:.3g} exceeds guard {EXP_ARG_LIMIT:g}"
         )
+
+
+def as_count(value, what: str, minimum: int = 1) -> int:
+    """value as an int >= minimum; floats are refused, even integral ones."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}; got {value!r}")
+    return int(value)
+
+
+def sample_sizes(ns, what: str = "n_list") -> tuple:
+    """ns as a nonempty, strictly increasing tuple of positive integers."""
+    try:
+        out = tuple(as_count(n, what) for n in ns)
+    except (TypeError, ValueError):
+        out = ()
+    if not out or any(b <= a for a, b in zip(out, out[1:])):
+        raise ValueError(f"{what} must be strictly increasing positive integers; got {ns!r}")
+    return out
 
 
 @functools.lru_cache(maxsize=None)

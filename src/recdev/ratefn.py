@@ -80,9 +80,6 @@ class RateValue:
     def __float__(self) -> float:
         return self.value
 
-    def csv_str(self) -> str:
-        return "inf" if not self.finite else repr(self.value)
-
 
 # two consecutive levels of psi, psi' or psi'' must agree to this gap
 # (relative once the values exceed 1), within at most this many levels

@@ -158,9 +158,23 @@ def test_overflow_guard_trips_before_exp():
         cgf_finite_n(spec, 1e9, 10)
 
 
+def test_spec_rejects_what_the_kernel_cannot_serve():
+    flat = GaussianDensity(mean=[0.0, 0.0], sigma=[1.0, 1.0])
+    with pytest.raises(ValueError, match="density has dimension 2, kernel has 1"):
+        CgfSpec(kernel=KERNEL, schedule=BandwidthSchedule(kind="power", c=0.7, a=0.3),
+                scaling=ScalingSequence(kind="constant_one"), density=flat, point=[0.0])
+    with pytest.raises(ValueError, match="derivatives up to order 0"):
+        CgfSpec(kernel=builtin_kernel("epanechnikov", 1),
+                schedule=BandwidthSchedule(kind="power", c=0.7, a=0.3),
+                scaling=ScalingSequence(kind="power", b=0.1), density=DENSITY,
+                point=[0.0], alpha=(1,))
+
+
 def test_diagnostic_input_validation():
     spec = _spec()
     with pytest.raises(ValueError):
         convergence_diagnostic(spec, [], [10, 20])
     with pytest.raises(ValueError):
         convergence_diagnostic(spec, [1.0], [20, 10])
+    with pytest.raises(ValueError):
+        convergence_diagnostic(spec, [1.0], [10.5, 20])

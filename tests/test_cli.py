@@ -170,6 +170,9 @@ def test_validate_structural_errors():
     assert any("(H8)i)" in m for m in msgs)
     msgs = validate(ExperimentConfig(q=3), "bias")
     assert any("(H7)i)" in m for m in msgs)
+    for q in (2.5, "2"):  # H7ii reads q too
+        msgs = validate(ExperimentConfig(q=q, scaling_kind="power", scaling_b=0.1), "simulate")
+        assert msgs == [f"q must be an integer >= 2; got {q!r}"]
     msgs = validate(ExperimentConfig(mode="mdp"), "simulate")
     assert any("conflicts" in m for m in msgs)
     msgs = validate(
@@ -184,6 +187,10 @@ def test_validate_h6_and_h10_share_the_bound():
     cfg = ExperimentConfig(scaling_kind="power", scaling_b=0.4, bandwidth_a=0.3)
     msgs = validate(cfg, "cgf")
     assert msgs == ["(H6): b must be < (1-a(d+2|alpha|))/2 = 0.35; got b=0.4"]
+    msgs = validate(dataclasses.replace(cfg, region="0:1:0.5"), "simulate")
+    assert msgs == [
+        "(H10): b must be < (1-a(d+2|alpha|))/2 = 0.35 for the uniform case; got b=0.4"
+    ]
 
 
 # --- flag preprocessing ------------------------------------------------------

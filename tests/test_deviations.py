@@ -187,6 +187,12 @@ def test_experiment_validation():
         _exp(_spec(), n_list=())
     with pytest.raises(ValueError):
         _exp(_spec(), replications=0)
+    with pytest.raises(ValueError, match="replications"):
+        _exp(_spec(), replications=2.5)
+    with pytest.raises(ValueError, match="n_list"):
+        _exp(_spec(), n_list=(10.0, 20))
+    exp = _exp(_spec(), n_list=np.array([50, 200]), replications=np.int64(400))
+    assert exp.n_list == (50, 200) and exp.replications == 400
     with pytest.raises(ValueError):
         _exp(_spec(), region=np.zeros((0, 1)))
     with pytest.raises(ValueError):

@@ -204,6 +204,18 @@ def test_multi_index_validation():
     with pytest.raises(ValueError):
         as_multi_index((-1, 0), 2)
     assert as_multi_index(None, 3).components == (0, 0, 0)
+    with pytest.raises(ValueError, match="alpha"):
+        as_multi_index((1,), 2)
+    with pytest.raises(ValueError, match="integer"):
+        MultiIndex((1.5,))
+    assert MultiIndex((np.int64(2), 0)).components == (2, 0)
+
+
+def test_builtin_kernel_dimension_is_a_positive_integer():
+    for d in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="dimension"):
+            builtin_kernel("gaussian", d)
+    assert builtin_kernel("gaussian", np.int64(2)).dimension == 2
 
 
 @given(st.sampled_from(KERNEL_NAMES), st.floats(min_value=-3.0, max_value=3.0))
