@@ -54,7 +54,7 @@ from .deviations import (
 )
 from .estimator import batch_values
 from .kernels import builtin_kernel, tensor_grid
-from .numerics import OverflowGuardError, QuadratureError, RootFindError, as_count, sample_sizes
+from .numerics import OverflowGuardError, QuadratureError, RootFindError, as_count, as_seed, sample_sizes
 
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 
@@ -185,8 +185,8 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
 
     Returns the list of violations; an empty list means the run may
     proceed.  Each step runs only if the ones before it found nothing:
-    (1) the fields no library object owns (mode, q, m_q, and n_list where
-    no experiment holds it), then building the kernel with its alpha
+    (1) the fields no library object owns (mode, q, m_q, and n_list and
+    seed where no experiment holds them), then building the kernel with its alpha
     derivative, the two sequences and the density; (2) the hypotheses
     H2-H10, each citing its tag; (3) building the subcommand's own objects.
     A constructor's message is reported untagged, first fault only.
@@ -201,6 +201,8 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
             as_count(cfg.q, "q", 2)
         if subcommand in ("estimate", "cgf"):
             sample_sizes(cfg.n_list)
+        if subcommand == "estimate":  # the other sampling subcommands build an experiment
+            as_seed(cfg.seed)
         builtin_kernel(cfg.kernel, cfg.dimension).partial_fn(cfg.alpha or None)
         BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)
         ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b)

@@ -41,7 +41,7 @@ import numpy as np
 from .cgf import CgfSpec, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
 from .kernels import as_points
-from .numerics import as_count, sample_sizes
+from .numerics import as_count, as_seed, sample_sizes
 from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
@@ -74,6 +74,7 @@ class DeviationExperiment:
 
     def __post_init__(self):
         self.replications = as_count(self.replications, "replications")
+        self.rng_seed = as_seed(self.rng_seed)
         if self.delta <= 0:
             raise ValueError("delta must be > 0")
         self.n_list = sample_sizes(self.n_list)

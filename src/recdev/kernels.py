@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import as_count, gauss_legendre_panels, integrate_to_tol, refine
+from .numerics import as_count, gauss_legendre_panels, refine
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -274,7 +274,8 @@ class KernelModel:
     are Lebesgue measures of {K > 0} and {K < 0} and drive the branch logic
     of the rate transform, so custom kernels must state them explicitly.
     Built-in kernels carry the 1-d `profile` they are a product of, which
-    supplies their constants in closed form.
+    supplies their constants in closed form.  Kernels are even in each
+    coordinate: psi folds its z rule onto (0, r)^d, and `PsiEvaluator` checks.
     """
 
     name: str
@@ -332,12 +333,16 @@ class KernelModel:
         return self._sup_cache[key]
 
     def l2_norm_sq(self, alpha=None) -> float:
-        """integral of (d^alpha K)^2 over R^d."""
+        """integral of (d^alpha K)^2 over R^d; refuses the orders `partial_fn` refuses."""
         mi = as_multi_index(alpha, self.dimension)
-        key = mi.components
-        if key not in self._l2_cache:
-            self._l2_cache[key] = self._compute_l2(mi)
-        return self._l2_cache[key]
+        f = self.partial_fn(mi)
+        if self.profile is not None:
+            return math.prod(self.profile.l2_table[aj] for aj in mi.components)
+        if mi.components not in self._l2_cache:
+            self._l2_cache[mi.components] = _tensor_integral(
+                lambda p: f(p) ** 2, self.dimension, self.support_radius
+            )
+        return self._l2_cache[mi.components]
 
     def _compute_sup(self, mi: MultiIndex) -> float:
         d, r = self.dimension, self.support_radius
@@ -357,24 +362,6 @@ class KernelModel:
             raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
         mesh = tensor_grid(np.linspace(-r, r, 201 if d == 2 else 41), d)
         return float(np.max(np.abs(f(mesh))))
-
-    def _compute_l2(self, mi: MultiIndex) -> float:
-        if self.profile is not None:
-            out = 1.0
-            for aj in mi.components:
-                tab = self.profile.l2_table
-                if aj in tab:
-                    out *= tab[aj]
-                else:
-                    out *= integrate_to_tol(
-                        lambda x, k=aj: self.profile.derivative(k, x) ** 2,
-                        -self.support_radius,
-                        self.support_radius,
-                        tol=1e-12,
-                    )
-            return out
-        f = self.partial_fn(mi)
-        return _tensor_integral(lambda p: f(p) ** 2, self.dimension, self.support_radius)
 
 
 def _tensor_integral(f, d: int, radius: float) -> float:

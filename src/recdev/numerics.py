@@ -1,12 +1,13 @@
 """Shared numerical primitives: quadrature rules, compensated sums, exp guards,
-and the integer checks (`as_count`, `sample_sizes`) the constructors share.
+and the integer checks (`as_count`, `as_seed`, `sample_sizes`) the constructors share.
 
 Two node families cover every integral in the package:
 
 * composite Gauss-Legendre panels, for integrands that are analytic on a
   finite box (kernel profiles, tilted expectations, bias integrands);
-* tanh-sinh (double-exponential) nodes, for integrands with an algebraic
-  endpoint singularity such as the s^(-a d) weight on (0, 1].
+* tanh-sinh (double-exponential) nodes, which crowd both endpoints: the z
+  rule of psi, where they resolve a compact kernel's support edge, and
+  integrands with an algebraic endpoint singularity.
 
 Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly
@@ -72,6 +73,13 @@ def sample_sizes(ns, what: str = "n_list") -> tuple:
     return out
 
 
+def as_seed(value) -> int:
+    """value as one word of a Philox key: an integer in [0, 2^64)."""
+    if as_count(value, "seed", 0) >= 2**64:
+        raise ValueError(f"seed must be an integer below 2^64; got {value!r}")
+    return int(value)
+
+
 @functools.lru_cache(maxsize=None)
 def _legendre_rule(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
@@ -103,26 +111,25 @@ def tanh_sinh(a: float, b: float, level: int):
     """Tanh-sinh rule on (a, b), open at both endpoints.
 
     Node k sits at the image of t = k*h under x = tanh((pi/2) sinh t) mapped
-    to (a, b), with h = 2^-level.  Positions are computed as distances from
-    the nearer endpoint so integrands with an endpoint singularity (for
-    example s^(-g) with 0 < g < 1) can be evaluated at full precision there.
-    Nodes whose distance to the endpoint underflows are dropped; the
-    double-exponential weight decay makes their contribution negligible.
+    to (a, b), with h = 2^-level: 2 ceil(4.3 2^level) + 1 nodes, crowding
+    both endpoints (psi's z rule resolves the exp boundary layer at a
+    compact kernel's support edge with them).  Positions are computed as
+    distances from the nearer endpoint, so an endpoint singularity such as
+    x^(-g), 0 < g < 1, is evaluated at full precision; the outermost nodes
+    lie 1e-101 to 1e-50 from their endpoint, far from underflow.
     """
     if not (b > a):
         raise ValueError(f"empty interval [{a}, {b}]")
     if level < 0:
         raise ValueError("level must be >= 0")
     h = 2.0 ** (-level)
-    # |t| beyond ~4.3 puts nodes within 1e-280 of the endpoint
+    # |t| beyond ~4.3 puts nodes within 1e-50 of the endpoint
     kmax = int(math.ceil(4.3 / h))
     t = h * np.arange(-kmax, kmax + 1)
     u = 0.5 * math.pi * np.sinh(t)
     # distance from the nearer endpoint: (1 - |tanh u|)/2 = 1/(1 + e^{2|u|})
     gap = 1.0 / (1.0 + np.exp(2.0 * np.abs(u)))
     w = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2 * h
-    keep = gap > 1e-300
-    t, u, gap, w = t[keep], u[keep], gap[keep], w[keep]
     scale = 0.5 * (b - a)
     x = np.where(t < 0, a + 2.0 * scale * gap, b - 2.0 * scale * gap)
     # centre node is exact
@@ -153,28 +160,6 @@ def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str)
         f"{what} did not reach tol {tol:g} by level {level} "
         f"(last two-level delta {float(np.max(np.abs(val - prev))):.3g})"
     )
-
-
-def integrate_to_tol(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    tol: float = 1e-10,
-    max_level: int = 9,
-) -> float:
-    """Integrate a vectorised callable on [a, b] to `tol` (relative above 1).
-
-    Composite Gauss-Legendre panels are doubled until two consecutive
-    levels agree by `agrees`; raises QuadratureError if the budget runs
-    out.  For endpoint singularities use `tanh_sinh` nodes directly.
-    """
-
-    def at_level(level):
-        x, w = gauss_legendre_panels(a, b, 2**level, order=16)
-        return float(np.dot(w, f(x)))
-
-    return refine(at_level, range(max_level + 1), tol, f"integral on [{a}, {b}]")[0]
 
 
 class NeumaierSum:

@@ -1,6 +1,6 @@
 """Deviation rate functions built from the kernel transform psi.
 
-For a kernel K on R^d and bandwidth exponent a with a*d < 1, define
+For a kernel K on R^d and bandwidth exponent a with 0 < a*d < 1, define
 
     psi(u)  = int_0^1 int_{R^d} s^(-a d) (exp(s^(a d) u K(z)/(1 - a d)) - 1) dz ds.
 
@@ -19,13 +19,12 @@ at t = 0 (infinite for kernels with unbounded positive support), and is
 finite for t > 0.  With lambda{K < 0} > 0 the range of psi' is all of R and
 I is finite everywhere.  I vanishes exactly at t = psi'(0).
 
-Numerics: psi and its derivatives share one tensor quadrature, tanh-sinh in
-both s (against the algebraic s^(a d) endpoint behaviour) and z (node
-clustering at the support edges resolves the exp boundary layer for very
-negative u), refined by `numerics.refine` until two levels agree (absolute
-below 1, relative above, since psi grows like exp(u sup K/(1 - a d))); the
-conjugate is evaluated by inverting psi' with a bracketed Newton iteration
-safeguarded by bisection.
+Numerics: the s-integral is in closed form, so psi and its derivatives need
+one rule, in z: tanh-sinh on (0, r)^d, folded since the kernel is even,
+whose nodes crowd the support edges where very negative u puts the exp
+boundary layer; `numerics.refine` raises its level until every point of a
+call agrees.  The conjugate inverts psi' by bracketed Newton safeguarded
+by bisection.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelModel, tensor_rule
+from .kernels import KernelModel
 from .numerics import (
     EXP_ARG_LIMIT,
     RootFindError,
@@ -81,34 +80,69 @@ class RateValue:
         return self.value
 
 
-# two consecutive levels of psi, psi' or psi'' must agree to this gap
-# (relative once the values exceed 1), within at most this many levels
+# two levels must agree to this gap at every point (relative above 1)
 _PSI_TOL = 1e-10
-_MAX_LEVEL = 4
+# tanh-sinh levels of the folded z rule: 71 ... 2,203 nodes per axis on (0, r)
+_LEVELS = range(3, 9)
 # psi'(u) = t is solved to this absolute residual (plus a 4-ulp cushion)
 _ROOT_TOL = 1e-10
-# s x z argument matrices up to this many entries (16 MB) are cached per
-# level, which covers d = 1 up to level 3; larger ones are rebuilt block by
-# block on every call, so memory stays flat in d
-_ARG_CACHE_CAP = 1 << 21
-# entries per exp block (512 KB): small enough to stay in a core's L2 cache;
-# a 100-point level-3 call ran 2.3x faster than with 64 MB blocks on a Xeon
-# with 2 MB of L2 per core
+# the one temporary budget, 512 KB inside a core's L2 cache whatever len(u),
+# d or level: series blocks of _TERMS terms on _BLOCK // _TERMS (u, z) pairs
 _BLOCK = 1 << 16
+_TERMS = 16
+# each quantity takes the s-integral at b = beta + k and the weight (c K)^k
+_SHIFT = {"psi": 0, "prime": 1, "second": 2}
+
+
+def _series(y: np.ndarray, coef) -> np.ndarray:
+    """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for y >= 0.
+
+    Summed _TERMS terms per np.cumprod until k > max y (the terms fall from
+    there) and the last term is below 1e-17 of 1 + the sum everywhere.
+    """
+    top = float(np.max(y, initial=0.0))
+    tail, term, k = np.zeros_like(y), np.ones_like(y), 1
+    while y.size and (k <= top or np.any(term > 1e-17 * (1.0 + tail))):
+        block = np.multiply.outer(coef(np.arange(k, k + _TERMS)), y)
+        np.cumprod(block, axis=0, out=block)
+        block *= term
+        tail += block.sum(axis=0)
+        term, k = block[-1], k + _TERMS
+    return tail
+
+
+def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
+    """int_0^1 w^(b-1) e^(A w) dw = M(b, b+1, A)/b elementwise for b > 0 (A-S 13.1).
+
+    Positive-term series: sum_k A^k/(k! (b+k)) for A >= 0, and for A = -x
+    the incomplete gamma series e^-x sum_k x^k/(b (b+1) ... (b+k)) (NR 6.2),
+    or Gamma(b) x^-b past x = b + 60 + 8 sqrt(b), where Gamma(b, x) is below
+    1e-20 Gamma(b) for every b.  `excess` leaves out the k = 0 term, 1/b.
+    """
+    h = float(excess)
+    out = np.empty_like(A)
+    far = -A > b + 60.0 + 8.0 * math.sqrt(b)
+    up = A >= 0.0
+    near = ~(far | up)
+    out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
+    out[up] = (_series(A[up], lambda k: (b + k - 1.0) / (k * (b + k))) + (1.0 - h)) / b
+    x = -A[near]
+    e = np.exp(-x)
+    out[near] = (e * _series(x, lambda k: 1.0 / (b + k)) + (np.expm1(-x) if excess else e)) / b
+    return out
 
 
 class PsiEvaluator:
     """Evaluates psi, psi', psi'' and the conjugate transform for one kernel.
 
-    Every call escalates from level 0 until two consecutive levels agree
-    within `_PSI_TOL`, relative once the values exceed 1 (checked on probe
-    points for vectorised calls), and returns the finer of the two, so a
-    value depends on its input alone, never on earlier calls.  Node tables
-    are cached per level, and the s x z argument matrix too while it stays
-    under `_ARG_CACHE_CAP` entries; larger levels rebuild it block by block
-    on every call.  Exhausting the `_MAX_LEVEL` budget raises
-    QuadratureError; exp arguments beyond the 700 guard raise
-    OverflowGuardError before any overflow happens.
+    With w = s^(a d), beta = 1/(a d) - 1 and c = 1/(1 - a d), psi, psi' and
+    psi'' are the z-integrals, over a d, of `_s_integral` at b = beta + k
+    times (c K)^k, k = 0, 1, 2 (psi less 1/beta), on tanh-sinh nodes in
+    (0, r)^d with weights times 2^d: K is even in each coordinate, which the
+    constructor checks.  A call accepts a level once all of its points agree
+    with the level before, so a value depends on its input alone; past
+    `_LEVELS` it raises QuadratureError, and past the exp guard
+    OverflowGuardError, before any overflow.
     """
 
     def __init__(self, kernel: KernelModel, a: float):
@@ -117,97 +151,59 @@ class PsiEvaluator:
         self.kernel = kernel
         self.a = float(a)
         self.ad = self.a * kernel.dimension
-        if not (0.0 <= self.ad < 1.0):
-            raise ValueError(f"need 0 <= a*d < 1, got a*d = {self.ad}")
-        self._levels: dict[int, dict] = {}
+        if not (0.0 < self.ad < 1.0):
+            raise ValueError(f"need 0 < a*d < 1, got a*d = {self.ad}")
+        self._beta = 1.0 / self.ad - 1.0
+        self._c = 1.0 / (1.0 - self.ad)
+        self._rules: dict[int, tuple] = {}
         # exp-argument extremes per unit u, for the overflow guard; only
         # the positive side can overflow (the negative side underflows to 0)
-        c = 1.0 / (1.0 - self.ad)
         sup = kernel.sup_norm()
-        self._arg_hi = c * sup
-        self._arg_lo = -c * sup if kernel.negative_support_measure > 0 else 0.0
+        self._arg_hi = self._c * sup
+        self._arg_lo = -self._c * sup if kernel.negative_support_measure > 0 else 0.0
+        flips = 1.0 - 2.0 * np.eye(kernel.dimension)  # each row negates one coordinate
+        for z, _ in self._nodes(_LEVELS[0]):
+            kz = kernel.eval_fn(z)
+            if not all(np.allclose(kernel.eval_fn(z * f), kz, rtol=1e-12, atol=0.0) for f in flips):
+                raise ValueError(f"kernel '{kernel.name}' must be even in each coordinate for psi")
 
     # -- plumbing --------------------------------------------------------
 
-    def _tensor(self, level: int) -> dict:
-        cached = self._levels.get(level)
-        if cached is not None:
-            return cached
-        d = self.kernel.dimension
-        r = self.kernel.support_radius
-        s, ws = tanh_sinh(0.0, 1.0, 4 + level)
-        # tanh-sinh in z as well: clusters nodes at the support edges, so
-        # the O(1/|u|) boundary layer of exp(u s^ad K c) for compactly
-        # supported kernels stays resolved at any u inside the exp guard
-        z_level = {1: 4 + level, 2: 3 + level}.get(d, min(2 + level, 4))
-        z, wz = tensor_rule(*tanh_sinh(-r, r, z_level), d)
-        kz = self.kernel.eval_fn(z)
-        sad = s**self.ad
-        c = 1.0 / (1.0 - self.ad)
-        y = sad * c
-        # weights over (s, z) are separable per quantity: a_i * b_j with
-        # the shared exp argument u * y_i * kz_j, summed as a^T f(u Y) b
-        entry = {
-            "y": y,
-            "kz": kz,
-            "arg": np.outer(y, kz) if len(y) * len(kz) <= _ARG_CACHE_CAP else None,
-            "a_psi": ws / sad,
-            "b_psi": wz,
-            "a_prime": ws,
-            "b_prime": wz * kz * c,
-            "a_second": ws * sad,
-            "b_second": wz * kz**2 * c * c,
-        }
-        self._levels[level] = entry
-        return entry
+    def _nodes(self, level: int):
+        """The folded z rule at `level`, as (nodes, weights) chunks of _BLOCK // _TERMS nodes."""
+        if level not in self._rules:
+            self._rules[level] = tanh_sinh(0.0, self.kernel.support_radius, level)
+        x, w = self._rules[level]
+        shape = (len(x),) * self.kernel.dimension
+        n, step = math.prod(shape), _BLOCK // _TERMS
+        for j in range(0, n, step):
+            ij = np.stack(np.unravel_index(np.arange(j, min(j + step, n)), shape), axis=1)
+            yield x[ij], w[ij].prod(axis=1) * 2.0 ** len(shape)
 
-    def _guard(self, u: np.ndarray) -> None:
-        u_pos = max(float(np.max(u)), 0.0)
-        u_neg = min(float(np.min(u)), 0.0)
-        m = max(u_pos * self._arg_hi, u_neg * self._arg_lo)
-        check_exp_bound(m, "psi evaluation")
-
-    def _eval_level(self, u: np.ndarray, level: int, kinds: tuple) -> np.ndarray:
-        """Row k holds quantity kinds[k] at every u; all share one exp pass."""
-        t = self._tensor(level)
-        y, kz, arg = t["y"], t["kz"], t["arg"]
-        # psi (expm1) is always evaluated alone; psi' and psi'' share exp
-        fn = np.expm1 if kinds == ("psi",) else np.exp
+    def _at_level(self, u: np.ndarray, level: int, kinds: tuple) -> np.ndarray:
+        """Row k holds quantity kinds[k] at every u, from one z rule and one exp argument."""
         out = np.zeros((len(kinds), len(u)))
-        # s-row blocks x u-chunks of about _BLOCK entries stay in cache
-        s_step = max(1, _BLOCK // len(kz))
-        for j in range(0, len(y), s_step):
-            blk = arg[j : j + s_step] if arg is not None else np.outer(y[j : j + s_step], kz)
-            u_step = max(1, _BLOCK // blk.size)
-            for k in range(0, len(u), u_step):
-                e = np.multiply.outer(u[k : k + u_step], blk)
-                e = fn(e, out=e).reshape(-1, len(kz))
-                for m, kind in enumerate(kinds):
-                    fb = (e @ t["b_" + kind]).reshape(-1, len(blk))
-                    out[m, k : k + u_step] += fb @ t["a_" + kind][j : j + s_step]
-        return out
+        for z, w in self._nodes(level):
+            ck = self._c * self.kernel.eval_fn(z)
+            u_step = max(1, _BLOCK // _TERMS // len(ck))
+            for i in range(0, len(u), u_step):
+                arg = np.multiply.outer(u[i : i + u_step], ck)
+                for row, kind in enumerate(kinds):
+                    s = _s_integral(self._beta + _SHIFT[kind], arg, excess=kind == "psi")
+                    out[row, i : i + u_step] += s @ (w * ck ** _SHIFT[kind])
+        return out / self.ad
 
     def _eval(self, u, kinds: tuple):
-        """One array (or float) per kind, at the first level that passes."""
-        arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        scalar = np.isscalar(u) or np.ndim(u) == 0
+        """One array (or float) per kind, at the first level where every point agrees."""
+        arr = np.asarray(u, dtype=np.float64).ravel()
         if arr.size == 0:
-            return [arr.copy() for _ in kinds]
-        self._guard(arr)
-        # probe points for the two-level error check
-        if arr.size <= 8:
-            probes = arr
-        else:
-            idx = np.unique(np.linspace(0, arr.size - 1, 9).astype(int))
-            order = np.argsort(np.abs(arr))
-            probes = np.concatenate([arr[order[idx]], [arr[order[-1]]]])
-        vals, level = refine(
-            lambda level: self._eval_level(probes, level, kinds),
-            range(_MAX_LEVEL + 1), _PSI_TOL, "psi tensor rule",
+            return [arr.reshape(np.shape(u)) for _ in kinds]
+        hi = max(float(np.max(arr)), 0.0) * self._arg_hi
+        check_exp_bound(max(hi, min(float(np.min(arr)), 0.0) * self._arg_lo), "psi evaluation")
+        vals, _ = refine(
+            lambda level: self._at_level(arr, level, kinds), _LEVELS, _PSI_TOL, "psi z rule"
         )
-        if probes is not arr:
-            vals = self._eval_level(arr, level, kinds)
-        if scalar:
+        if np.ndim(u) == 0:
             return [float(v[0]) for v in vals]
         return [v.reshape(np.shape(u)) for v in vals]
 
@@ -226,7 +222,7 @@ class PsiEvaluator:
     @property
     def prime_at_zero(self) -> float:
         """psi'(0) = 1/(1 - a d), exact."""
-        return 1.0 / (1.0 - self.ad)
+        return self._c
 
     @property
     def signed_kernel(self) -> bool:
@@ -250,35 +246,24 @@ class PsiEvaluator:
         t0 = self.prime_at_zero
         if abs(t0 - t) <= tol:
             return 0.0
-        u_cap_pos = EXP_ARG_LIMIT / self._arg_hi if self._arg_hi > 0 else math.inf
-        u_cap_neg = EXP_ARG_LIMIT / -self._arg_lo if self._arg_lo < 0 else math.inf
-        lo, hi = None, None
+        # one doubling search away from 0 on the side of the target: upward
+        # it stops at the exp guard, downward at the guard or 1e18
         if t > t0:
-            prev, cur = 0.0, 1.0
-            for _ in range(200):
-                if cur > u_cap_pos:
-                    raise RootFindError(
-                        f"target {t:.6g} needs u beyond the exp overflow guard"
-                    )
-                if self.psi_prime(cur) >= t:
-                    lo, hi = prev, cur
-                    break
-                prev, cur = cur, cur * 2.0
-            else:
-                raise RootFindError("bracket search exhausted (upper branch)")
+            sign, side, beyond = 1.0, "upper", "the exp overflow guard"
+            cap = EXP_ARG_LIMIT / self._arg_hi if self._arg_hi > 0 else math.inf
         else:
-            prev, cur = 0.0, -1.0
-            for _ in range(200):
-                if abs(cur) > min(u_cap_neg, 1e18):
-                    raise RootFindError(
-                        f"target {t:.6g} needs u beyond the search budget"
-                    )
-                if self.psi_prime(cur) <= t:
-                    lo, hi = cur, prev
-                    break
-                prev, cur = cur, cur * 2.0
-            else:
-                raise RootFindError("bracket search exhausted (lower branch)")
+            sign, side, beyond = -1.0, "lower", "the search budget"
+            cap = min(EXP_ARG_LIMIT / -self._arg_lo if self._arg_lo < 0 else math.inf, 1e18)
+        prev, cur = 0.0, sign
+        for _ in range(200):
+            if abs(cur) > cap:
+                raise RootFindError(f"target {t:.6g} needs u beyond {beyond}")
+            if sign * (self.psi_prime(cur) - t) >= 0.0:
+                lo, hi = sorted((prev, cur))
+                break
+            prev, cur = cur, cur * 2.0
+        else:
+            raise RootFindError(f"bracket search exhausted ({side} branch)")
         u = 0.5 * (lo + hi)
         for _ in range(100):
             prime, second = self._eval(u, ("prime", "second"))

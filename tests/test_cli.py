@@ -381,6 +381,9 @@ _STRUCTURAL_FAULTS = [
     ("simulate", dict(xi=0.0, region="0:1:0.5")),
     ("simulate", dict(xi=-1.0)),
     ("simulate", dict(region=[[0.0, 1.0]])),
+    ("estimate", dict(seed=-1)),
+    ("simulate", dict(seed=-1)),
+    ("chernoff", dict(seed=2**64)),
 ]
 
 

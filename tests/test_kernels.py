@@ -194,6 +194,11 @@ def test_derivative_order_cap():
     e = builtin_kernel("epanechnikov", 1)
     with pytest.raises(ValueError):
         e.deriv_eval((1,), np.array([[0.0]]))
+    # the L2 norm refuses the same orders, past the end of its closed-form table
+    with pytest.raises(ValueError, match="up to order 6"):
+        builtin_kernel("gaussian", 1).l2_norm_sq((7,))
+    with pytest.raises(ValueError, match="up to order 1"):
+        builtin_kernel("quartic", 2).l2_norm_sq((1, 1))
 
 
 def test_multi_index_validation():

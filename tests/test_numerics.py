@@ -14,7 +14,6 @@ from recdev.numerics import (
     check_exp_bound,
     compensated_cumsum,
     gauss_legendre_panels,
-    integrate_to_tol,
     refine,
     tanh_sinh,
 )
@@ -48,14 +47,6 @@ def test_tanh_sinh_plain_interval():
     x, w = tanh_sinh(-2.0, 5.0, level=5)
     assert_allclose(w @ np.exp(-x), math.exp(2) - math.exp(-5), rtol=1e-12)
     assert x.min() >= -2.0 and x.max() <= 5.0
-
-
-def test_integrate_to_tol_converges_and_reports_failure():
-    val = integrate_to_tol(lambda x: np.exp(-(x**2)), -6.0, 6.0, tol=1e-12)
-    assert_allclose(val, math.sqrt(math.pi), rtol=1e-11)
-    with pytest.raises(QuadratureError):
-        # nowhere-resolvable oscillation at a coarse level budget
-        integrate_to_tol(lambda x: np.sin(1e7 * x), 0.0, 1.0, tol=1e-14, max_level=1)
 
 
 def test_refine_returns_finer_level_or_names_the_quantity():

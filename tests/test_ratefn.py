@@ -108,11 +108,19 @@ def test_psi_negative_saturation_compact_support():
     assert abs(v1000 - floor) < 0.02
 
 
-def test_psi_vectorized_matches_scalar():
-    ev = PsiEvaluator(GAUSS, 0.3)
-    us = np.array([-2.0, -0.3, 0.0, 0.7, 1.9])
+@pytest.mark.parametrize(
+    "kernel,us,tol",
+    [
+        (GAUSS, np.array([-2.0, -0.3, 0.0, 0.7, 1.9]), 1e-12),
+        # a vectorised call accepts a level only where every point agrees,
+        # so each of 401 points across the sign change matches its own call
+        ("signed", np.linspace(-8.0, 4.0, 401), 1e-10),
+    ],
+)
+def test_psi_vectorized_matches_scalar(kernel, us, tol):
+    ev = PsiEvaluator(_signed_kernel() if kernel == "signed" else kernel, 0.3)
     vec = ev.psi(us)
-    assert_allclose(vec, [float(ev.psi(float(u))) for u in us], rtol=1e-12)
+    assert_allclose(vec, [float(ev.psi(float(u))) for u in us], rtol=tol, atol=tol)
 
 
 def test_values_do_not_depend_on_call_history():
@@ -313,6 +321,70 @@ def test_two_dimensional_psi_slope():
     ev = PsiEvaluator(builtin_kernel("gaussian", 2), 0.2)
     assert_allclose(float(ev.psi_prime(0.0)), 1.0 / (1 - 0.4), rtol=1e-9)
     assert float(ev.psi(0.5)) > 0.5 * ev.prime_at_zero  # convexity above tangent
+
+
+def _psi_oracle_2d(kernel, a, u, r, nodes):
+    # independent route: scipy quad over s of a Gauss-Legendre tensor in z
+    # on the whole box [-r, r]^2, with neither the fold nor the closed form
+    from scipy.integrate import quad
+
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    z = r * np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    wz = r * r * np.outer(w, w).ravel()
+    g = 2 * a
+    arg = u * kernel.eval(z) / (1 - g)
+    integrand = lambda s: s**-g * (wz @ np.expm1(s**g * arg))
+    return quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("name,r", [("epanechnikov", 1.0), ("gaussian", 8.5)])
+def test_two_dimensional_psi_matches_tensor_oracle(name, r):
+    kernel = builtin_kernel(name, 2)
+    ev = PsiEvaluator(kernel, 0.2)
+    for u in (-2.0, 0.5, 2.0):
+        assert_allclose(ev.psi(u), _psi_oracle_2d(kernel, 0.2, u, r, 120), rtol=1e-9)
+
+
+def test_psi_far_branch_at_small_exponent():
+    # a d = 0.05 puts beta + 2 = 21: at u = -1000 most of the support takes
+    # Gamma(b) x^-b, which must still saturate like the a = 0.25 case
+    v = PsiEvaluator(EPAN, 0.05).psi(-1000.0)
+    assert -2.0 / 0.95 < v < 0.0
+    assert abs(v + 2.0 / 0.95) < 0.02
+
+
+def test_constructor_refuses_zero_exponent_and_uneven_kernel():
+    with pytest.raises(ValueError, match="0 < a\\*d < 1"):
+        PsiEvaluator(GAUSS, 0.0)
+    signed = _signed_kernel()
+    shifted = KernelModel(
+        name="shifted_parabola",
+        dimension=1,
+        eval_fn=lambda pts: signed.eval_fn(pts - 0.1),
+        deriv_fn=None,
+        support_radius=1.1,
+        positive_support_measure=signed.positive_support_measure,
+        negative_support_measure=signed.negative_support_measure,
+        max_derivative_order=0,
+    )
+    with pytest.raises(ValueError, match="even in each coordinate"):
+        PsiEvaluator(shifted, 0.3)
+
+
+def test_psi_memory_stays_within_the_block_budget():
+    # the (u x node x term) work is chunked, so 4001 points cost no more
+    # than a few series blocks on top of the answer
+    import tracemalloc
+
+    ev = PsiEvaluator(GAUSS, 0.25)
+    us = np.linspace(-40.0, 12.0, 4001)
+    tracemalloc.start()
+    try:
+        ev.psi(us)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _signed_kernel():
