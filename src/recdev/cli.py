@@ -54,7 +54,8 @@ from .deviations import (
 )
 from .estimator import batch_values
 from .kernels import builtin_kernel, tensor_grid
-from .numerics import OverflowGuardError, QuadratureError, RootFindError, as_count, as_seed, sample_sizes
+from .numerics import OverflowGuardError, QuadratureError, RootFindError
+from .numerics import as_count, as_seed, sample_sizes
 
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 

@@ -5,9 +5,8 @@ Two node families cover every integral in the package:
 
 * composite Gauss-Legendre panels, for integrands that are analytic on a
   finite box (kernel profiles, tilted expectations, bias integrands);
-* tanh-sinh (double-exponential) nodes, which crowd both endpoints: the z
-  rule of psi, where they resolve a compact kernel's support edge, and
-  integrands with an algebraic endpoint singularity.
+* tanh-sinh (double-exponential) nodes, crowding both endpoints: psi's z rule
+  (a compact kernel's support edge) and algebraic endpoint singularities.
 
 Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly

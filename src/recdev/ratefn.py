@@ -86,23 +86,22 @@ _PSI_TOL = 1e-10
 _LEVELS = range(3, 9)
 # psi'(u) = t is solved to this absolute residual (plus a 4-ulp cushion)
 _ROOT_TOL = 1e-10
-# the one temporary budget, 512 KB inside a core's L2 cache whatever len(u),
-# d or level: series blocks of _TERMS terms on _BLOCK // _TERMS (u, z) pairs
+# the one temporary budget (512 KB, in L2 cache), whatever len(u), d or level:
+# series blocks of _TERMS terms on _BLOCK // _TERMS (u, z) pairs
 _BLOCK = 1 << 16
 _TERMS = 16
-# each quantity takes the s-integral at b = beta + k and the weight (c K)^k
-_SHIFT = {"psi": 0, "prime": 1, "second": 2}
+_SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
 
 
 def _series(y: np.ndarray, coef) -> np.ndarray:
-    """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for y >= 0.
+    """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for nonempty y >= 0.
 
-    Summed _TERMS terms per np.cumprod until k > max y (the terms fall from
-    there) and the last term is below 1e-17 of 1 + the sum everywhere.
+    _TERMS terms per np.cumprod, until k > max y (the terms fall from there)
+    and the last term is below 1e-17 of 1 + the sum everywhere.
     """
-    top = float(np.max(y, initial=0.0))
+    top = float(np.max(y))
     tail, term, k = np.zeros_like(y), np.ones_like(y), 1
-    while y.size and (k <= top or np.any(term > 1e-17 * (1.0 + tail))):
+    while k <= top or np.any(term > 1e-17 * (1.0 + tail)):
         block = np.multiply.outer(coef(np.arange(k, k + _TERMS)), y)
         np.cumprod(block, axis=0, out=block)
         block *= term
@@ -124,11 +123,14 @@ def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
     far = -A > b + 60.0 + 8.0 * math.sqrt(b)
     up = A >= 0.0
     near = ~(far | up)
-    out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
-    out[up] = (_series(A[up], lambda k: (b + k - 1.0) / (k * (b + k))) + (1.0 - h)) / b
-    x = -A[near]
-    e = np.exp(-x)
-    out[near] = (e * _series(x, lambda k: 1.0 / (b + k)) + (np.expm1(-x) if excess else e)) / b
+    if far.any():
+        out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
+    if up.any():
+        out[up] = (_series(A[up], lambda k: (b + k - 1.0) / (k * (b + k))) + (1.0 - h)) / b
+    if near.any():
+        x = -A[near]
+        e = np.exp(-x)
+        out[near] = (e * _series(x, lambda k: 1.0 / (b + k)) + (np.expm1(-x) if excess else e)) / b
     return out
 
 
@@ -138,11 +140,10 @@ class PsiEvaluator:
     With w = s^(a d), beta = 1/(a d) - 1 and c = 1/(1 - a d), psi, psi' and
     psi'' are the z-integrals, over a d, of `_s_integral` at b = beta + k
     times (c K)^k, k = 0, 1, 2 (psi less 1/beta), on tanh-sinh nodes in
-    (0, r)^d with weights times 2^d: K is even in each coordinate, which the
-    constructor checks.  A call accepts a level once all of its points agree
-    with the level before, so a value depends on its input alone; past
-    `_LEVELS` it raises QuadratureError, and past the exp guard
-    OverflowGuardError, before any overflow.
+    (0, r)^d with weights times 2^d, as K is even in each coordinate (checked
+    here).  A call accepts a level once all its points agree with the level
+    before, so a value depends on its input alone; past `_LEVELS` it raises
+    QuadratureError, past the exp guard OverflowGuardError.
     """
 
     def __init__(self, kernel: KernelModel, a: float):
@@ -246,8 +247,7 @@ class PsiEvaluator:
         t0 = self.prime_at_zero
         if abs(t0 - t) <= tol:
             return 0.0
-        # one doubling search away from 0 on the side of the target: upward
-        # it stops at the exp guard, downward at the guard or 1e18
+        # double u from 0 toward the target, up to the exp guard (and 1e18 below)
         if t > t0:
             sign, side, beyond = 1.0, "upper", "the exp overflow guard"
             cap = EXP_ARG_LIMIT / self._arg_hi if self._arg_hi > 0 else math.inf
