@@ -323,12 +323,12 @@ def test_two_dimensional_psi_slope():
     assert float(ev.psi(0.5)) > 0.5 * ev.prime_at_zero  # convexity above tangent
 
 
-def _psi_oracle_2d(kernel, a, u, r, nodes):
+def _psi_oracle_2d(kernel, a, u, r):
     # independent route: scipy quad over s of a Gauss-Legendre tensor in z
     # on the whole box [-r, r]^2, with neither the fold nor the closed form
     from scipy.integrate import quad
 
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(120)
     z = r * np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
     wz = r * r * np.outer(w, w).ravel()
     g = 2 * a
@@ -342,7 +342,7 @@ def test_two_dimensional_psi_matches_tensor_oracle(name, r):
     kernel = builtin_kernel(name, 2)
     ev = PsiEvaluator(kernel, 0.2)
     for u in (-2.0, 0.5, 2.0):
-        assert_allclose(ev.psi(u), _psi_oracle_2d(kernel, 0.2, u, r, 120), rtol=1e-9)
+        assert_allclose(ev.psi(u), _psi_oracle_2d(kernel, 0.2, u, r), rtol=1e-9)
 
 
 def test_constructor_refuses_zero_exponent_and_uneven_kernel():
