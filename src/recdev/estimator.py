@@ -6,11 +6,15 @@ X_1, X_2, ... is
     f_n(x) = (1/n) sum_{i<=n} h_i^-(d+|alpha|) (d^alpha K)((x - X_i)/h_i),
 
 with h_i = h(i) a decreasing bandwidth schedule.  Each observation enters
-with the bandwidth of its arrival index, so the update is O(grid) per
-observation and never revisits history; the price is that the estimate
-depends on the observation order (a permutation of the sample changes the
-value).  Running sums are compensated, so long streams do not lose the
-small late terms against the large early ones.
+with the bandwidth of its arrival index and never revisits history; the
+price is that the estimate depends on the observation order (a permutation
+of the sample changes the value).  An update only records the observation
+and its bandwidth; the kernel work for all pending observations runs as one
+block at the next read (or when the block fills), and the block's rows are
+folded into the running sums in arrival order, so every read is bit for bit
+what one kernel call and one sum step per observation would give.  Running
+sums are compensated, so long streams do not lose the small late terms
+against the large early ones.
 
 Also provided: a closed-batch evaluation used as an independent test
 oracle, the exact mean of the estimator under a known sampling density,
@@ -42,15 +46,36 @@ from .kernels import (
 )
 from .numerics import NeumaierSum, refine
 
-# kernel evaluations per batch_values block, over observations x grid points
+# kernel evaluations per block, over observations x grid points: one
+# batch_values block, and the pending observations a RecursiveEstimator holds
 _BATCH_ENTRIES = 65536
 # two quadrature levels of the exact mean must agree to this gap, relative
 # once the mean exceeds 1
 _MEAN_TOL = 1e-9
 
 
+def _block_rows(m: int) -> int:
+    """Observations per block of _BATCH_ENTRIES kernel evaluations on m points."""
+    return max(1, _BATCH_ENTRIES // max(m, 1))
+
+
 class RecursiveEstimator:
-    """Order-sensitive streaming estimator on a fixed evaluation grid."""
+    """Order-sensitive streaming estimator on a fixed evaluation grid.
+
+    `update` records an observation in O(1); the kernel work is deferred to
+    the next `values()` read, or to the update that fills the block of
+    `_BATCH_ENTRIES // len(grid)` pending observations, whichever comes
+    first.  A read therefore costs at most one block evaluation, and a
+    custom kernel's `eval_fn` error surfaces at `values()` (or at the update
+    that fills the block), not at the update that supplied the observation.
+    The deferral pays off when several observations arrive between reads:
+    reading after every update costs up to about 10% more per observation
+    than evaluating each observation as it arrives, while reading every 5,
+    10 or 100 updates makes an observation about 2, 3 or 5 times cheaper
+    (no CLI command streams; this concerns library callers).
+    Pending rows are bounded by the block, so memory does not grow with the
+    stream.
+    """
 
     def __init__(self, kernel: KernelModel, schedule: BandwidthSchedule, grid, alpha=None):
         self.kernel = kernel
@@ -58,22 +83,57 @@ class RecursiveEstimator:
         self.alpha = as_multi_index(alpha, kernel.dimension)
         schedule.check_compatible(kernel.dimension, self.alpha.order)
         self.grid, _ = as_points(grid, kernel.dimension)
-        # resolved once: update() runs per observation
+        # resolved once: _flush() runs per block
         self._kernel_fn = kernel.partial_fn(self.alpha)
         self._power = kernel.dimension + self.alpha.order
-        self._sum = NeumaierSum(shape=(len(self.grid),))
-        self.count = 0
+        m, d = self.grid.shape
+        rows = _block_rows(m)
+        # pending observations, their bandwidths h and h**power, and the
+        # kernel arguments (grid - X) / h of the whole block
+        self._X = np.empty((rows, d))
+        self._h = np.empty(rows)
+        self._hp = np.empty(rows)
+        self._z = np.empty((rows, m, d))
+        self.reset()
 
     def reset(self) -> None:
+        """Forget every observation, pending ones included."""
         self._sum = NeumaierSum(shape=(len(self.grid),))
+        self._pending = 0
         self.count = 0
 
     def update(self, x) -> None:
-        """Fold in one observation; O(grid size), independent of history."""
+        """Record one observation in O(1), independent of history.
+
+        A malformed x raises here.  The kernel work runs at the next
+        `values()`, or here when this observation fills the pending block.
+        """
         x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
         self.count += 1
         h = self.schedule.h(self.count)
-        self._sum.add(self._kernel_fn((self.grid - x) / h) / h**self._power)
+        k = self._pending
+        self._X[k] = x
+        self._h[k] = h
+        self._hp[k] = h**self._power
+        self._pending = k + 1
+        if self._pending == len(self._h):
+            self._flush()
+
+    def _flush(self) -> None:
+        """Evaluate the pending rows in one kernel call and fold them in order."""
+        k = self._pending
+        if k == 1:
+            # a read after every update: plain (m, d) arithmetic costs less
+            # than broadcasting over a one-row block and gives the same bits
+            self._sum.add(self._kernel_fn((self.grid - self._X[0]) / self._h[0]) / self._hp[0])
+        elif k > 1:
+            z = self._z[:k]
+            np.subtract(self.grid, self._X[:k, None, :], out=z)
+            z /= self._h[:k, None, None]
+            vals = self._kernel_fn(z.reshape(-1, z.shape[-1])).reshape(k, -1)
+            vals /= self._hp[:k, None]
+            self._sum.add_rows(vals)
+        self._pending = 0
 
     def update_batch(self, X) -> None:
         """Fold in rows of X in order (order matters; see module docstring)."""
@@ -82,9 +142,14 @@ class RecursiveEstimator:
             self.update(row)
 
     def values(self) -> np.ndarray:
-        """Current estimate on the grid; raises before any observation."""
+        """Current estimate on the grid; raises before any observation.
+
+        Evaluates the observations pending since the last read first, in one
+        block, so a read costs up to one block evaluation.
+        """
         if self.count == 0:
             raise ValueError("estimator has no observations yet")
+        self._flush()
         return self._sum.total / self.count
 
 
@@ -111,7 +176,7 @@ def batch_values(
     hs = schedule.values(n)
     power = d + mi.order
     acc = NeumaierSum(shape=(len(pts),))
-    step = max(1, _BATCH_ENTRIES // max(len(pts), 1))
+    step = _block_rows(len(pts))
     for i0 in range(0, n, step):
         hb = hs[i0 : i0 + step]
         z = (pts[None, :, :] - X[i0 : i0 + step, None, :]) / hb[:, None, None]

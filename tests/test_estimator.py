@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from recdev.bandwidth import BandwidthSchedule
 from recdev.densities import GaussianDensity
 from recdev.estimator import (
     RecursiveEstimator,
+    _block_rows,
     batch_values,
     bias_normalizer,
     bias_ratio_limit,
@@ -18,8 +21,11 @@ from recdev.estimator import (
     expected_estimate,
 )
 from recdev.kernels import builtin_kernel
+from recdev.numerics import NeumaierSum
 
 SCHED = BandwidthSchedule(kind="power", c=0.7, a=0.3)
+# observations per deferred block on a 20-point grid
+BLOCK_20 = _block_rows(20)
 
 
 def _naive(kernel, schedule, X, grid, alpha=None):
@@ -52,19 +58,63 @@ def test_streaming_equals_batch_equals_naive(d, alpha):
     assert_allclose(stream, naive, rtol=0, atol=1e-12)
 
 
+# kernel, d, alpha; a = 0.2 keeps a (d + 2|alpha|) < 1 for each
+_STREAM_SETUPS = [
+    ("gaussian", 1, None),
+    ("gaussian", 1, (1,)),
+    ("gaussian", 2, (1, 0)),
+    ("epanechnikov", 1, None),
+    ("quartic", 2, None),
+]
+_STREAM_SCHED = BandwidthSchedule(kind="power", c=0.7, a=0.2)
+
+
+@functools.lru_cache(maxsize=None)
+def _per_observation_reads(name, d, alpha):
+    """Sample, grid and the read after every observation, one kernel call per observation."""
+    kernel = builtin_kernel(name, d)
+    rng = np.random.Generator(np.random.Philox(key=np.array([21, d], dtype=np.uint64)))
+    grid = rng.normal(size=(20, d))
+    X = rng.normal(size=(2 * BLOCK_20 + 3, d))
+    p = d + (sum(alpha) if alpha else 0)
+    acc = NeumaierSum(shape=(len(grid),))
+    reads = []
+    for i, x in enumerate(X, start=1):
+        h = _STREAM_SCHED.h(i)
+        acc.add(kernel.deriv_eval(alpha, (grid - x) / h) / h**p)
+        reads.append(acc.total / i)
+    return X, grid, reads
+
+
+@pytest.mark.parametrize("every", [1, 7, 100, None])
+@pytest.mark.parametrize("name,d,alpha", _STREAM_SETUPS)
+def test_streaming_reads_are_bit_identical_to_per_observation_updates(name, d, alpha, every):
+    # deferring the kernel work to the read changes no bit, whatever the cadence
+    X, grid, reads = _per_observation_reads(name, d, alpha)
+    est = RecursiveEstimator(builtin_kernel(name, d), _STREAM_SCHED, grid, alpha=alpha)
+    for i, x in enumerate(X, start=1):
+        est.update(x)
+        if every and i % every == 0:
+            assert est.values().tobytes() == reads[i - 1].tobytes()
+    assert est.values().tobytes() == reads[-1].tobytes()
+
+
 def test_update_batch_matches_single_updates():
     kernel = builtin_kernel("epanechnikov", 1)
     rng = np.random.Generator(np.random.Philox(key=np.array([4, 0], dtype=np.uint64)))
-    X = rng.normal(size=(100, 1))
     grid = np.linspace(-2, 2, 5).reshape(-1, 1)
+    block = _block_rows(len(grid))
+    X = rng.normal(size=(block + 40, 1))
     one = RecursiveEstimator(kernel, SCHED, grid)
     for row in X:
         one.update(row)
-    many = RecursiveEstimator(kernel, SCHED, grid)
-    many.update_batch(X[:37])
-    many.update_batch(X[37:])
-    assert many.count == one.count == 100
-    assert_allclose(many.values(), one.values(), rtol=0, atol=0)
+    # splits inside, just before, at and just after the first deferred block
+    for split in (37, block - 1, block, block + 1):
+        many = RecursiveEstimator(kernel, SCHED, grid)
+        many.update_batch(X[:split])
+        many.update_batch(X[split:])
+        assert many.count == one.count == len(X)
+        assert many.values().tobytes() == one.values().tobytes()
 
 
 def test_estimator_is_order_sensitive():
@@ -88,6 +138,40 @@ def test_values_requires_data_and_reset_clears():
     assert est.count == 0
     with pytest.raises(ValueError):
         est.values()
+    # reset with observations still pending drops them too
+    est.update(np.array([0.3]))
+    est.values()
+    est.update(np.array([5.0]))
+    est.update(np.array([-1.0]))
+    est.reset()
+    with pytest.raises(ValueError):
+        est.values()
+    fresh = RecursiveEstimator(kernel, SCHED, np.array([[0.0]]))
+    for x in (0.1, -0.4, 0.7):
+        est.update(np.array([x]))
+        fresh.update(np.array([x]))
+    assert est.count == fresh.count == 3
+    assert est.values().tobytes() == fresh.values().tobytes()
+
+
+def test_pending_observations_stay_within_the_block():
+    # memory is bounded by one block, however many updates go unread
+    kernel = builtin_kernel("gaussian", 1)
+    grid = np.linspace(-2.0, 2.0, 20).reshape(-1, 1)
+    X = np.random.default_rng(8).standard_normal(20 * BLOCK_20)
+    peaks = []
+    for n in (5 * BLOCK_20, 20 * BLOCK_20):
+        tracemalloc.start()
+        try:
+            est = RecursiveEstimator(kernel, SCHED, grid)
+            for x in X[:n]:
+                est.update(x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert est.count == n
+    assert max(peaks) <= 5e6
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
 
 
 @given(st.integers(min_value=1, max_value=60))

@@ -125,10 +125,19 @@ def test_neumaier_twosum_step_is_bit_identical_to_the_branch():
     scalar = np.array([-0.0, 0.0, 1e20, 1.0, -1e20, -0.0, 1e-20, -1.0, -1e-20, -0.0])
     for terms in (mixed, equal, zeros, np.concatenate([zeros, equal, mixed, zeros]), scalar):
         acc = NeumaierSum(shape=terms.shape[1:])
-        for x, (s, c) in zip(terms, _neumaier_branch_states(terms)):
+        states = list(_neumaier_branch_states(terms))
+        for x, (s, c) in zip(terms, states):
             acc.add(x)
             assert acc._s.tobytes() == s.tobytes() and acc._c.tobytes() == c.tobytes()
         assert acc.total.tobytes() == (s + c).tobytes()
+        # add_rows folds a block of terms to the same states at every block end
+        for block in (1, 3, 64, len(terms)):
+            acc = NeumaierSum(shape=terms.shape[1:])
+            for i0 in range(0, len(terms), block):
+                rows = terms[i0 : i0 + block]
+                acc.add_rows(rows)
+                s, c = states[i0 + len(rows) - 1]
+                assert acc._s.tobytes() == s.tobytes() and acc._c.tobytes() == c.tobytes()
 
 
 @given(
