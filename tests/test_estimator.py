@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -152,6 +153,50 @@ def test_values_requires_data_and_reset_clears():
         fresh.update(np.array([x]))
     assert est.count == fresh.count == 3
     assert est.values().tobytes() == fresh.values().tobytes()
+
+
+def test_kernel_error_drops_the_pending_rows_and_keeps_the_estimator_usable():
+    # a custom kernel that fails on one marked observation: the error
+    # surfaces at the read (or at the update that fills the block), those
+    # rows stay counted without terms, and later updates and reads work
+    base = builtin_kernel("epanechnikov", 1)
+
+    def eval_fn(pts):
+        if np.any(np.abs(pts) > 1e6):
+            raise ValueError("marked observation")
+        return base.eval_fn(pts)
+
+    kernel = dataclasses.replace(base, name="failing", eval_fn=eval_fn)
+    grid = np.linspace(-2.0, 2.0, 20).reshape(-1, 1)
+
+    def term(i, x):
+        h = SCHED.h(i)
+        return base.eval((grid - x) / h) / h
+
+    est = RecursiveEstimator(kernel, SCHED, grid)
+    est.update(0.1)
+    est.values()
+    est.update(1e9)
+    with pytest.raises(ValueError, match="marked"):
+        est.values()
+    est.update(0.2)
+    acc = NeumaierSum(shape=(len(grid),))
+    acc.add(term(1, 0.1))
+    acc.add(term(3, 0.2))
+    assert est.count == 3
+    assert est.values().tobytes() == (acc.total / 3).tobytes()
+
+    # the marked row fills the block: the update raises, the block is dropped
+    est = RecursiveEstimator(kernel, SCHED, grid)
+    for _ in range(BLOCK_20 - 1):
+        est.update(0.1)
+    with pytest.raises(ValueError, match="marked"):
+        est.update(1e9)
+    est.update(0.2)
+    acc = NeumaierSum(shape=(len(grid),))
+    acc.add(term(BLOCK_20 + 1, 0.2))
+    assert est.count == BLOCK_20 + 1
+    assert est.values().tobytes() == (acc.total / (BLOCK_20 + 1)).tobytes()
 
 
 def test_pending_observations_stay_within_the_block():
