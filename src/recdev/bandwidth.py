@@ -2,9 +2,10 @@
 
 The estimator attaches bandwidth h_i to arrival index i.  Schedules here are
 regularly varying with index -a: either the pure power h_i = c i^-a or the
-power-with-log h_i = c i^-a log(i + 1).  Partial sums of h_i^beta appear in
-every normalisation, so they are cached per exponent with compensated
-summation; campaigns reach n = 1e6 terms where naive accumulation drifts.
+power-with-log h_i = c i^-a log(i + 1), both by one formula,
+`BandwidthSchedule.at`.  Partial sums of h_i^beta appear in every
+normalisation, so they are cached per exponent with compensated summation;
+campaigns reach n = 1e6 terms where naive accumulation drifts.
 
 The key limit: for a*beta < 1,
 
@@ -68,23 +69,25 @@ class BandwidthSchedule:
         if not (0.0 <= self.a < 1.0):
             raise ValueError(f"bandwidth exponent a must satisfy 0 <= a < 1, got {self.a}")
 
-    def h(self, i: int) -> float:
-        if i < 1:
+    def at(self, i) -> np.ndarray:
+        """h_i for each index i >= 1 of an array: the one bandwidth formula.
+
+        `values` (so batch_values and the Monte Carlo harness) and the
+        streaming estimator use it, so h_i has the same bits in any index range.
+        """
+        i = np.asarray(i, dtype=np.float64)
+        if (i < 1).any():
             raise ValueError("bandwidth index starts at 1")
-        out = self.c * float(i) ** (-self.a)
+        out = self.c * i ** (-self.a)
         if self.kind == "power_log":
-            out *= np.log(i + 1.0)
-        return float(out)
+            out = out * np.log(i + 1.0)
+        return out
 
     def values(self, n: int) -> np.ndarray:
         """h_1 .. h_n as an array."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        i = np.arange(1, n + 1, dtype=np.float64)
-        out = self.c * i ** (-self.a)
-        if self.kind == "power_log":
-            out = out * np.log(i + 1.0)
-        return out
+        return self.at(np.arange(1, n + 1, dtype=np.float64))
 
     def check_compatible(self, d: int, alpha_order: int) -> None:
         """Error if a(d + 2|alpha|) >= 1, which breaks every normalisation here."""
@@ -210,12 +213,9 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
             new[1::2] = sample(np.arange(1, 2 * deg, 2), 2 * deg)
             vals, deg = new, 2 * deg
     hs = schedule.values(n)
-    acc = None
-    for i0 in range(0, n, step):
-        part = terms(hs[i0 : i0 + step]).sum(axis=0)
-        if acc is None:
-            acc = NeumaierSum(shape=np.shape(part))
-        acc.add(part)
+    parts = np.stack([terms(hs[i0 : i0 + step]).sum(axis=0) for i0 in range(0, n, step)])
+    acc = NeumaierSum(shape=parts.shape[1:])
+    acc.add_rows(parts)
     return weight * acc.total
 
 

@@ -9,11 +9,12 @@ so results do not depend on chunking or thread scheduling.  Within a
 replication the checkpoint estimates at n_1 < n_2 < ... reuse one stream
 prefix: segment sums between checkpoints accumulate into prefix sums, so a
 full n_max-observation stream is simulated once per replication.
-Replications run in chunks of `chunk_target // n_max` (at least one), so
-the (replications x n_max) arrays of a chunk hold about 2^16 observations
-(512 kB in d = 1) and stay in cache.  Each worker draws its chunks into one
-sample buffer and builds the kernel arguments in one more, both reused
-from chunk to chunk, so the loop neither reallocates nor page-faults them.
+Replications run in chunks of `numerics.BLOCK_ENTRIES // n_max` (at least
+one), so the (replications x n_max) arrays of a chunk hold about 2^16
+observations (512 kB in d = 1) and stay in cache.  Each worker draws its
+chunks into one sample buffer and builds the kernel arguments in one more,
+both reused from chunk to chunk, so the loop neither reallocates nor
+page-faults them.
 Memory is flat in R; it grows with n_max only once n_max exceeds the
 budget and a chunk is a single replication.
 
@@ -41,7 +42,7 @@ import numpy as np
 from .cgf import CgfSpec, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
 from .kernels import as_points
-from .numerics import as_count, as_seed, sample_sizes
+from .numerics import BLOCK_ENTRIES, as_count, as_seed, sample_sizes
 from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
@@ -70,7 +71,6 @@ class DeviationExperiment:
     rng_seed: int
     region: Optional[np.ndarray] = None  # grid for U in sup mode
     xi: Optional[float] = None  # moment exponent for the unbounded-U bound
-    chunk_target: int = 1 << 16  # rep-chunking budget in stream entries
 
     def __post_init__(self):
         self.replications = as_count(self.replications, "replications")
@@ -163,7 +163,7 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
     target = spec.density.partial(alpha.components, grid)
     delta = exp.delta
 
-    chunk = min(max(1, int(exp.chunk_target // max(n_max, 1))), exp.replications)
+    chunk = min(max(1, BLOCK_ENTRIES // max(n_max, 1)), exp.replications)
     n_chunks = (exp.replications + chunk - 1) // chunk
     workers = min(_thread_count(), n_chunks)
 

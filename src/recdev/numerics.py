@@ -1,5 +1,6 @@
 """Shared numerical primitives: quadrature rules, compensated sums, exp guards,
-and the integer checks (`as_count`, `as_seed`, `sample_sizes`) the constructors share.
+the block budget `BLOCK_ENTRIES`, and the integer checks (`as_count`,
+`as_seed`, `sample_sizes`) the constructors share.
 
 Two node families cover every integral in the package:
 
@@ -15,6 +16,9 @@ used as the error estimate.  `refine` is the one loop that compares levels,
 and `agrees` its one acceptance rule: absolute for values below 1, relative
 above.  A quantity that cannot meet its tolerance within the level budget
 raises QuadratureError rather than returning a silent best-effort value.
+
+`_fold` is the one compensated sum (Neumaier, ZAMM 54, 1974) behind
+`NeumaierSum` and `compensated_cumsum`.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ import numpy as np
 
 # exp() arguments above this are refused rather than allowed to overflow
 EXP_ARG_LIMIT = 700.0
+# the one budget, in float64 entries (512 KB, in L2 cache), of a block's
+# temporaries: psi's series blocks, the estimator's kernel evaluations over
+# observations x grid points, and a Monte Carlo chunk of replications x n_max
+BLOCK_ENTRIES = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -149,12 +157,11 @@ def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str)
     pass `agrees` is returned with its level.  Running out of `levels`
     raises QuadratureError naming `what`.
     """
-    prev = None
+    val = None
     for level in levels:
-        val = at_level(level)
+        prev, val = val, at_level(level)
         if prev is not None and agrees(np.abs(val - prev), val, tol):
             return val, level
-        prev = val
     raise QuadratureError(
         f"{what} did not reach tol {tol:g} by level {level} "
         f"(last two-level delta {float(np.max(np.abs(val - prev))):.3g})"
@@ -172,13 +179,27 @@ def two_sum_error(a, s, b):
     return (a - (s - bp)) + (b - bp)
 
 
+def _fold(s, c, rows: np.ndarray):
+    """(sums, carries) after adding rows[0], rows[1], ... to the state (s, c), row 0 the state.
+
+    A cumsum along axis 0 (np.add.accumulate, without np.cumsum's dispatch
+    cost) adds the rows left to right, so it yields the running sums of the
+    row-by-row loop; each step's error is exact, and a second cumsum seeded
+    with the carry accumulates them, so every state equals the Neumaier
+    loop's bit for bit.
+    """
+    sums = np.add.accumulate(np.concatenate((s[None], rows)))
+    err = two_sum_error(sums[:-1], sums[1:], rows)
+    return sums, np.add.accumulate(np.concatenate((c[None], err)))
+
+
 class NeumaierSum:
     """Compensated accumulator (Neumaier variant of Kahan summation).
 
     Works on scalars (the default shape ()) or fixed-shape numpy arrays.
     `add` folds in one term and `add_rows` a block of terms stacked along
-    axis 0; `total` returns sum + carry without disturbing the running
-    state.  Each step's rounding error comes from `two_sum_error`.
+    axis 0, both through `_fold`; `total` returns sum + carry without
+    disturbing the running state.
     """
 
     def __init__(self, shape=()):
@@ -186,27 +207,12 @@ class NeumaierSum:
         self._c = np.zeros(shape)
 
     def add(self, x) -> None:
-        s = self._s
-        t = s + x
-        self._c += two_sum_error(s, t, x)
-        self._s = t
+        self.add_rows(np.asarray(x, dtype=np.float64)[None])
 
     def add_rows(self, x: np.ndarray) -> None:
-        """Fold in x[0], x[1], ... in order, bit-identical to one `add` per row.
-
-        np.cumsum along axis 0 adds the rows left to right, so it yields the
-        running sums of the row-by-row loop; each step's error is exact, and
-        the errors are accumulated by a second cumsum seeded with the carry.
-        """
-        if len(x) < 2:
-            for row in x:
-                self.add(row)
-            return
-        s = np.cumsum(np.concatenate((self._s[None], x)), axis=0)
-        err = two_sum_error(s[:-1], s[1:], x)
-        err[0] += self._c
-        self._s = s[-1].copy()
-        self._c = np.cumsum(err, axis=0)[-1].copy()
+        """Fold in x[0], x[1], ... in order, bit-identical to one `add` per row."""
+        s, c = _fold(self._s, self._c, x)
+        self._s, self._c = s[-1].copy(), c[-1].copy()
 
     @property
     def total(self):
@@ -216,14 +222,10 @@ class NeumaierSum:
 def compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Prefix sums of a 1-D array with Neumaier compensation.
 
-    The running sums are np.cumsum's left-to-right ones; each step's exact
-    rounding error is recovered from them by `two_sum_error` and the errors
-    are accumulated the same way, so the result equals the
-    element-by-element loop bit for bit.  For the monotone positive
-    sequences used here the uncompensated drift only matters past n ~ 1e5,
-    but campaigns run to 1e6 terms where it does.
+    `_fold` from a zero state, so the result equals the element-by-element
+    loop bit for bit.  For the monotone positive sequences used here the
+    uncompensated drift only matters past n ~ 1e5, but campaigns run to 1e6
+    terms where it does.
     """
-    x = np.asarray(x, dtype=np.float64)
-    s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s))[:-1]
-    return s + np.cumsum(two_sum_error(prev, s, x))
+    s, c = _fold(np.zeros(()), np.zeros(()), np.asarray(x, dtype=np.float64))
+    return s[1:] + c[1:]

@@ -36,6 +36,7 @@ import numpy as np
 
 from .kernels import KernelModel
 from .numerics import (
+    BLOCK_ENTRIES,
     EXP_ARG_LIMIT,
     RootFindError,
     check_exp_bound,
@@ -86,9 +87,8 @@ _PSI_TOL = 1e-10
 _LEVELS = range(3, 9)
 # psi'(u) = t is solved to this absolute residual (plus a 4-ulp cushion)
 _ROOT_TOL = 1e-10
-# the one temporary budget (512 KB, in L2 cache), whatever len(u), d or level:
-# series blocks of _TERMS terms on _BLOCK // _TERMS (u, z) pairs
-_BLOCK = 1 << 16
+# series blocks of _TERMS terms on BLOCK_ENTRIES // _TERMS (u, z) pairs, so
+# the temporaries stay within the block budget whatever len(u), d or level
 _TERMS = 16
 _SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
 
@@ -171,12 +171,12 @@ class PsiEvaluator:
     # -- plumbing --------------------------------------------------------
 
     def _nodes(self, level: int):
-        """The folded z rule at `level`, as (nodes, weights) chunks of _BLOCK // _TERMS nodes."""
+        """The folded z rule at `level`, as (nodes, weights) chunks of BLOCK_ENTRIES // _TERMS."""
         if level not in self._rules:
             self._rules[level] = tanh_sinh(0.0, self.kernel.support_radius, level)
         x, w = self._rules[level]
         shape = (len(x),) * self.kernel.dimension
-        n, step = math.prod(shape), _BLOCK // _TERMS
+        n, step = math.prod(shape), BLOCK_ENTRIES // _TERMS
         for j in range(0, n, step):
             ij = np.stack(np.unravel_index(np.arange(j, min(j + step, n)), shape), axis=1)
             yield x[ij], w[ij].prod(axis=1) * 2.0 ** len(shape)
@@ -186,7 +186,7 @@ class PsiEvaluator:
         out = np.zeros((len(kinds), len(u)))
         for z, w in self._nodes(level):
             ck = self._c * self.kernel.eval_fn(z)
-            u_step = max(1, _BLOCK // _TERMS // len(ck))
+            u_step = max(1, BLOCK_ENTRIES // _TERMS // len(ck))
             for i in range(0, len(u), u_step):
                 arg = np.multiply.outer(u[i : i + u_step], ck)
                 for row, kind in enumerate(kinds):

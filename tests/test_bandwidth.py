@@ -16,8 +16,7 @@ from recdev.bandwidth import (
 
 def test_power_schedule_values():
     sch = BandwidthSchedule(kind="power", c=0.7, a=0.3)
-    assert_allclose(sch.h(1), 0.7)
-    assert_allclose(sch.h(32), 0.7 * 32 ** (-0.3))
+    assert_allclose(sch.at(np.array([1, 32])), [0.7, 0.7 * 32 ** (-0.3)])
     vals = sch.values(5)
     assert_allclose(vals, [0.7 * i ** (-0.3) for i in range(1, 6)])
     assert np.all(np.diff(vals) < 0)
@@ -25,13 +24,38 @@ def test_power_schedule_values():
 
 def test_power_log_schedule_values():
     sch = BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
-    assert_allclose(sch.h(10), 0.5 * 10 ** (-0.4) * math.log(11.0))
+    assert_allclose(sch.at(np.array([10])), [0.5 * 10 ** (-0.4) * math.log(11.0)])
     # log factor makes the first few terms non-monotone, later ones decay
     vals = sch.values(2000)
     assert vals[-1] < vals[100] < vals[10]
 
 
+@pytest.mark.parametrize(
+    "sch",
+    [
+        BandwidthSchedule(kind="power", c=0.7, a=0.3),
+        BandwidthSchedule(kind="power_log", c=0.5, a=0.4),
+    ],
+    ids=["power", "power_log"],
+)
+def test_at_over_any_index_range_is_that_slice_of_values(sch):
+    # the streaming estimator takes h_i from `at` on the pending indices,
+    # batch_values and the Monte Carlo harness from `values`: same bits
+    n = 20_000
+    ref = sch.values(n)
+    # each index alone, as a read after every update asks for it
+    for i in range(1, 5001):
+        assert sch.at(np.array([float(i)])).tobytes() == ref[i - 1 : i].tobytes()
+    rng = np.random.default_rng(17)
+    for k in [*range(2, 33), *rng.integers(33, 400, 300)]:
+        i0 = int(rng.integers(1, n - k + 2))
+        got = sch.at(np.arange(i0, i0 + k, dtype=np.float64))
+        assert got.tobytes() == ref[i0 - 1 : i0 - 1 + k].tobytes()
+
+
 def test_schedule_domain_errors():
+    with pytest.raises(ValueError, match="starts at 1"):
+        BandwidthSchedule(kind="power", c=0.7, a=0.3).at(np.array([3.0, 0.0]))
     with pytest.raises(ValueError):
         BandwidthSchedule(kind="power", c=-1.0, a=0.3)
     with pytest.raises(ValueError):
@@ -66,7 +90,7 @@ def test_normalized_sum_limit():
     for a, beta in ((0.5, 1), (0.2, 1)):
         sch = BandwidthSchedule(kind="power", c=1.3, a=a)
         n = 100_000
-        val = sch.prefix_sum(beta, n) / (n * sch.h(n) ** beta)
+        val = sch.prefix_sum(beta, n) / (n * sch.values(n)[-1] ** beta)
         assert_allclose(val, 1.0 / (1.0 - a * beta), rtol=1e-2)
 
 
@@ -75,7 +99,7 @@ def test_normalized_sum_error_shrinks_with_n():
     lim = 1.0 / (1.0 - 0.4)
     errs = []
     for n in (100, 1000, 10000):
-        val = sch.prefix_sum(1, n) / (n * sch.h(n))
+        val = sch.prefix_sum(1, n) / (n * sch.values(n)[-1])
         errs.append(abs(val - lim))
     assert errs[0] > errs[1] > errs[2]
 

@@ -18,7 +18,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recdev.bandwidth import BandwidthSchedule, ScalingSequence, bandwidth_sum
+from recdev.bandwidth import (
+    SUM_BLOCK_ENTRIES,
+    BandwidthSchedule,
+    ScalingSequence,
+    bandwidth_sum,
+)
 from recdev.cgf import CgfSpec, cgf_finite_n
 from recdev.densities import GaussianDensity, GaussianMixtureDensity, UniformBoxDensity
 from recdev.estimator import expected_estimate
@@ -225,6 +230,26 @@ def test_failed_certificate_falls_back_within_budget():
     hs = sched.values(n)
     assert got == pytest.approx(math.fsum(np.where(hs > 0.1, 1.0, 0.0) + hs), abs=1e-9)
     assert n < sum(seen) <= 1.5 * n
+
+
+@pytest.mark.parametrize("n", [50, 4000])
+def test_direct_fallback_folds_like_one_add_per_block(n):
+    # n = 50 is too small for the interpolant, and the jump defeats it at
+    # n = 4000; blocks of 7 bandwidths, whose sums are folded in one step
+    def terms(h):
+        return np.where(h > 0.1, 1.0, 0.0)[:, None] + np.stack([h, h**-1.5], axis=1)
+
+    sched = BandwidthSchedule(kind="power", c=0.5, a=0.3)
+    got = bandwidth_sum(sched, n, terms, SUM_BLOCK_ENTRIES // 7, 0.3)
+    # the per-block Neumaier loop the fold replaced, in its branch form
+    hs = sched.values(n)
+    s = c = np.zeros(2)
+    for i0 in range(0, n, 7):
+        x = terms(hs[i0 : i0 + 7]).sum(axis=0)
+        t = s + x
+        c = c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+        s = t
+    assert got.tobytes() == (0.3 * (s + c)).tobytes()
 
 
 def test_mean_memory_is_bounded_in_two_dimensions():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from recdev import deviations
 from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec
 from recdev.densities import GaussianDensity, UniformBoxDensity
@@ -91,16 +92,18 @@ def test_reports_are_deterministic():
     assert a == b
 
 
-def test_counts_invariant_to_chunking():
+def test_counts_invariant_to_chunking(monkeypatch):
     base = run_pointwise(_exp(_spec()), "mdp")
-    small = run_pointwise(_exp(_spec(), chunk_target=3_000), "mdp")
+    monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
+    small = run_pointwise(_exp(_spec()), "mdp")
     assert [r.count for r in small.rows] == [r.count for r in base.rows]
 
 
 def test_counts_invariant_to_thread_count(monkeypatch):
-    base = run_pointwise(_exp(_spec(), chunk_target=3_000), "mdp")
+    monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
+    base = run_pointwise(_exp(_spec()), "mdp")
     monkeypatch.setenv("RECDEV_THREADS", "4")
-    threaded = run_pointwise(_exp(_spec(), chunk_target=3_000), "mdp")
+    threaded = run_pointwise(_exp(_spec()), "mdp")
     assert threaded == base
 
 
