@@ -29,13 +29,10 @@ from .deviations import (
     run_uniform,
 )
 from .estimator import (
-    CenteredDecomposition,
     RecursiveEstimator,
     batch_values,
     bias_normalizer,
-    bias_ratio_limit,
     bias_sup_bound,
-    decompose,
     expected_estimate,
 )
 from .kernels import KernelModel, MultiIndex, builtin_kernel, kernel_moment, norm_moment
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BandwidthSchedule",
     "BiasRow",
-    "CenteredDecomposition",
     "CgfConvergence",
     "CgfSpec",
     "Density",
@@ -79,7 +75,6 @@ __all__ = [
     "Verdict",
     "batch_values",
     "bias_normalizer",
-    "bias_ratio_limit",
     "bias_sup_bound",
     "build_density",
     "builtin_kernel",
@@ -88,7 +83,6 @@ __all__ = [
     "chernoff_upper_curve",
     "compensated_cumsum",
     "convergence_diagnostic",
-    "decompose",
     "expected_estimate",
     "gauss_legendre_panels",
     "kernel_moment",

@@ -3,9 +3,12 @@
 The estimator attaches bandwidth h_i to arrival index i.  Schedules here are
 regularly varying with index -a: either the pure power h_i = c i^-a or the
 power-with-log h_i = c i^-a log(i + 1), both by one formula,
-`BandwidthSchedule.at`.  Partial sums of h_i^beta appear in every
-normalisation, so they are cached per exponent with compensated summation;
-campaigns reach n = 1e6 terms where naive accumulation drifts.
+`BandwidthSchedule.at`.  The scaling v_n has one formula too,
+`ScalingSequence.value`, used alike by the speed, the cumulant, the
+Chernoff curve and the Monte Carlo harness.  Partial sums of h_i^beta
+appear in every normalisation, so they are cached per exponent with
+compensated summation; campaigns reach n = 1e6 terms where naive
+accumulation drifts.
 
 The key limit: for a*beta < 1,
 
@@ -250,12 +253,6 @@ class ScalingSequence:
         if self.is_constant_one:
             return 1.0
         return float(n) ** self.b
-
-    def values(self, ns) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.float64)
-        if self.is_constant_one:
-            return np.ones_like(ns)
-        return ns**self.b
 
 
 def speed(

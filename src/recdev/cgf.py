@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
+from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
 from .numerics import check_exp_bound, refine, sample_sizes
@@ -144,15 +144,22 @@ def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.n
     max_theta = float(np.max(np.abs(u))) * theta_scale / float(np.min(schedule.values(n))) ** p
     check_exp_bound(max_theta * float(np.max(np.abs(ky))), "finite-n cumulant")
 
+    # quadrature nodes per block, so the (bandwidths, u, nodes) temporaries
+    # of one block stay within the budget whatever len(u)
+    kstep = max(1, SUM_BLOCK_ENTRIES // (len(u) + d))
+
     def terms(hb):
-        args = spec.point[None, None, :] - hb[:, None, None] * y[None, :, :]
-        fw = spec.density.pdf(args.reshape(-1, d)).reshape(len(hb), len(y)) * w[None, :]
         theta = (theta_scale / hb**p)[:, None] * u[None, :]  # (block, nu)
         # sum_k w_k expm1(theta_i ky_k) f(x - h_i y_k), for every (i, u)
-        m = np.einsum("iuk,ik->iu", np.expm1(theta[:, :, None] * ky[None, None, :]), fw)
+        m = np.zeros((len(hb), len(u)))
+        for k0 in range(0, len(y), kstep):
+            yk = y[k0 : k0 + kstep]
+            args = spec.point[None, None, :] - hb[:, None, None] * yk[None, :, :]
+            fw = spec.density.pdf(args.reshape(-1, d)).reshape(len(hb), len(yk)) * w[None, k0 : k0 + kstep]
+            m += np.einsum("iuk,ik->iu", np.expm1(theta[:, :, None] * ky[None, None, k0 : k0 + kstep]), fw)
         return np.log1p(hb[:, None] ** d * m)
 
-    return bandwidth_sum(schedule, n, terms, len(y) * (len(u) + d), v_n * v_n / a_n)
+    return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * (len(u) + d), v_n * v_n / a_n)
 
 
 def cgf_finite_n(spec: CgfSpec, u, n: int):

@@ -111,9 +111,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     kwargs = {}
     params = {}
     for key, value in raw.items():
-        if key == "density":
-            kwargs[key] = value
-        elif key.startswith("density_"):
+        if key.startswith("density_"):
             params[key[len("density_"):]] = value
         elif key in known:
             kwargs[key] = value

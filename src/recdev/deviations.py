@@ -8,7 +8,10 @@ stream from a counter-based generator keyed by (seed, replication index),
 so results do not depend on chunking or thread scheduling.  Within a
 replication the checkpoint estimates at n_1 < n_2 < ... reuse one stream
 prefix: segment sums between checkpoints accumulate into prefix sums, so a
-full n_max-observation stream is simulated once per replication.
+full n_max-observation stream is simulated once per replication.  The
+kernel terms are `estimator.kernel_terms`, the streaming estimator's own
+block, and v_n at each checkpoint is `ScalingSequence.value`, the one v_n
+formula, so the harness simulates the arithmetic the library ships.
 Replications run in chunks of `numerics.BLOCK_ENTRIES // n_max` (at least
 one), so the (replications x n_max) arrays of a chunk hold about 2^16
 observations (512 kB in d = 1) and stay in cache.  Each worker draws its
@@ -40,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .cgf import CgfSpec, cgf_finite_n
-from .estimator import bias_normalizer, bias_sup_bound, expected_estimate
+from .estimator import bias_normalizer, bias_sup_bound, expected_estimate, kernel_terms
 from .kernels import as_points
 from .numerics import BLOCK_ENTRIES, as_count, as_seed, sample_sizes
 from .ratefn import RateValue
@@ -157,9 +160,9 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
     n_list = np.asarray(exp.n_list, dtype=np.int64)
     n_max = int(n_list[-1])
     hs = schedule.values(n_max)
-    inv = hs**-p
+    hp = hs**p
     starts = np.concatenate([[0], n_list[:-1]])
-    v_at = scaling.values(n_list.astype(np.float64))
+    v_at = np.array([scaling.value(int(n)) for n in n_list])
     target = spec.density.partial(alpha.components, grid)
     delta = exp.delta
 
@@ -185,10 +188,7 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
                 X[j] = spec.density.sample(gen, n_max)
             sup_stat = np.zeros((b, len(n_list)))
             for g in range(len(grid)):
-                np.subtract(grid[g], X, out=z)
-                z /= hs[:, None]
-                vals = kernel.deriv_eval(alpha, z.reshape(-1, d)).reshape(b, n_max)
-                vals *= inv
+                vals = kernel_terms(kernel, alpha, grid[g], X, hs, hp, z)
                 seg = np.add.reduceat(vals, starts, axis=1)
                 est = np.cumsum(seg, axis=1) / n_list[None, :]
                 stat = np.abs(est - target[g]) * v_at[None, :]

@@ -15,11 +15,13 @@ read (or when the block fills), and the block's rows are folded into the
 running sums in arrival order, so every read is bit for bit what one kernel
 call and one sum step per observation would give.  Running sums are
 compensated, so long streams do not lose the small late terms against the
-large early ones.
+large early ones.  The kernel term h_i^-(d+|alpha|) (d^alpha K)((x - X_i)/h_i)
+of a block is `kernel_terms`, which the Monte Carlo harness in `deviations`
+calls too, so the simulated estimator is this one's arithmetic.
 
 Also provided: a closed-batch evaluation used as an independent test
-oracle, the exact mean of the estimator under a known sampling density,
-and the bias/fluctuation decomposition with the bias normalizer and
+oracle (its own kernel and summation code), the exact mean of the
+estimator under a known sampling density, and the bias normalizer and
 uniform bias bound used in convergence studies.  The exact mean is a
 kernel-support quadrature per bandwidth, summed over i <= n by
 `bandwidth.bandwidth_sum`: a Chebyshev interpolant in log h whose cost does
@@ -31,7 +33,6 @@ must then agree by `numerics.refine` before a mean is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .kernels import (
     KernelModel,
     as_multi_index,
     as_points,
-    kernel_moment,
     kernel_quadrature,
     norm_moment,
 )
@@ -57,6 +57,22 @@ def _block_rows(m: int) -> int:
     return max(1, BLOCK_ENTRIES // max(m, 1))
 
 
+def kernel_terms(kernel: KernelModel, alpha, x, X, h, hp, out) -> np.ndarray:
+    """h^-p (d^alpha K)((x - X) / h), the kernel term of each observation X at x.
+
+    x - X is written into `out` (shape (..., d)) and divided there by h,
+    which broadcasts against out's leading shape; the kernel values, of
+    that leading shape, are divided by hp = h**p.  The streaming estimator
+    and the Monte Carlo harness both call this, so a term has the same bits
+    on either route.
+    """
+    np.subtract(x, X, out=out)
+    out /= h[..., None]
+    vals = kernel.deriv_eval(alpha, out.reshape(-1, out.shape[-1])).reshape(out.shape[:-1])
+    vals /= hp
+    return vals
+
+
 class RecursiveEstimator:
     """Order-sensitive streaming estimator on a fixed evaluation grid.
 
@@ -69,11 +85,11 @@ class RecursiveEstimator:
     the pending observations stay counted, their terms are dropped, and the
     estimator stays usable.
     The deferral pays off when several observations arrive between reads.
-    On a 20-point gaussian grid (2-vCPU x86 host) a read after every update
-    costs about 40 us per observation, twice the cost of evaluating each
-    observation as it arrives, as each read runs the block route's numpy
-    calls for one row; reading every 10 or 100 updates costs 5-7 or 2-3 us
-    (no CLI command streams; this concerns library callers).
+    On a 20-point gaussian grid (2-vCPU x86 host, 20,000 observations, best
+    of 3) a read after every update costs 28-51 us per observation, as each
+    read runs the block route's numpy calls, `KernelModel.deriv_eval`
+    included, for one row; reading every 10 or 100 updates costs 5-8 or
+    2-3 us (no CLI command streams; this concerns library callers).
     Pending rows are bounded by the block, so memory does not grow with the
     stream.
     """
@@ -84,8 +100,7 @@ class RecursiveEstimator:
         self.alpha = as_multi_index(alpha, kernel.dimension)
         schedule.check_compatible(kernel.dimension, self.alpha.order)
         self.grid, _ = as_points(grid, kernel.dimension)
-        # resolved once: _flush() runs per block
-        self._kernel_fn = kernel.partial_fn(self.alpha)
+        kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
         self._power = kernel.dimension + self.alpha.order
         m, d = self.grid.shape
         rows = _block_rows(m)
@@ -122,11 +137,10 @@ class RecursiveEstimator:
         if k == 0:
             return
         h = self.schedule.at(np.arange(self.count - k + 1, self.count + 1, dtype=np.float64))
-        z = self._z[:k]
-        np.subtract(self.grid, self._X[:k, None, :], out=z)
-        z /= h[:, None, None]
-        vals = self._kernel_fn(z.reshape(-1, z.shape[-1])).reshape(k, -1)
-        vals /= (h**self._power)[:, None]
+        hp = h**self._power
+        vals = kernel_terms(
+            self.kernel, self.alpha, self.grid, self._X[:k, None, :], h[:, None], hp[:, None], self._z[:k]
+        )
         self._sum.add_rows(vals)
 
     def update_batch(self, X) -> None:
@@ -227,75 +241,11 @@ def expected_estimate(
     return refine(at_level, (1, 2), _MEAN_TOL, "mean-estimate quadrature")[0]
 
 
-@dataclass(frozen=True)
-class CenteredDecomposition:
-    """estimate = target + bias + fluctuation, all on the same points."""
-
-    estimate: np.ndarray
-    mean: np.ndarray
-    target: np.ndarray
-    bias: np.ndarray
-    fluctuation: np.ndarray
-
-
-def decompose(
-    kernel: KernelModel,
-    schedule: BandwidthSchedule,
-    density: Density,
-    X,
-    points,
-    alpha=None,
-) -> CenteredDecomposition:
-    """Split the estimate into deterministic bias and centred fluctuation.
-
-    The deviation theory applies to the fluctuation part; the bias part is
-    deterministic and has its own normalized limit (see bias_ratio_limit).
-    """
-    mi = as_multi_index(alpha, kernel.dimension)
-    n = len(as_points(X, kernel.dimension)[0])
-    est = batch_values(kernel, schedule, X, points, alpha=mi.components)
-    mean = expected_estimate(kernel, schedule, density, n, points, alpha=mi.components)
-    target = density.partial(mi.components, points)
-    return CenteredDecomposition(
-        estimate=est,
-        mean=mean,
-        target=target,
-        bias=mean - target,
-        fluctuation=est - mean,
-    )
-
-
 def bias_normalizer(schedule: BandwidthSchedule, q: int, n: int) -> float:
     """(1/n) sum_{i<=n} h_i^q, the scale on which the bias stabilises."""
     if q < 1:
         raise ValueError("q must be >= 1")
     return schedule.prefix_sum(float(q), n) / n
-
-
-def bias_ratio_limit(kernel: KernelModel, density: Density, q: int, points, alpha=None):
-    """Limit of bias / bias_normalizer for a q-smooth target.
-
-    For symmetric kernels the lower Taylor terms integrate to zero and the
-    normalized bias converges to sum over q-th partials of the target
-    weighted by kernel moments; in one dimension this is
-    ((-1)^q / q!) m_q(K) g^(q+|alpha|)(x), e.g. m_2(K) f''(x)/2 for the
-    plain density estimate with q = 2.
-    """
-    d = kernel.dimension
-    mi = as_multi_index(alpha, d)
-    if d == 1:
-        m_q = kernel_moment(kernel, q)
-        g_q = density.partial((mi.components[0] + q,), points)
-        return ((-1) ** q / math.factorial(q)) * m_q * g_q
-    if q != 2:
-        raise ValueError("multivariate ratio limits are implemented for q = 2 only")
-    pts, _ = as_points(points, d)
-    out = np.zeros(len(pts))
-    for j in range(d):
-        comps = list(mi.components)
-        comps[j] += 2
-        out += 0.5 * kernel_moment(kernel, 2, axis=j) * density.partial(tuple(comps), pts)
-    return out
 
 
 def bias_sup_bound(kernel: KernelModel, q: int, deriv_sup: float) -> float:

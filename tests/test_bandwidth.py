@@ -116,7 +116,6 @@ def test_scaling_sequence():
     assert one.is_constant_one and one.value(17) == 1.0
     pw = ScalingSequence(kind="power", b=0.1)
     assert_allclose(pw.value(32), 32**0.1)
-    assert_allclose(pw.values(np.array([1, 10])), [1.0, 10**0.1])
     with pytest.raises(ValueError):
         ScalingSequence(kind="power", b=0.5)
     with pytest.raises(ValueError):

@@ -265,3 +265,41 @@ def test_mean_memory_is_bounded_in_two_dimensions():
         tracemalloc.stop()
     # a handful of 4e6-entry float64 temporaries (32 MB each)
     assert peak <= 200e6
+
+
+def test_cumulant_memory_does_not_grow_with_u():
+    # the nodes are chunked so one block's (bandwidths, u, nodes) temporaries
+    # stay within SUM_BLOCK_ENTRIES whatever len(u): about 70 MB here
+    spec = CgfSpec(
+        builtin_kernel("gaussian", 2),
+        BandwidthSchedule(kind="power", c=0.5, a=0.2),
+        ScalingSequence("power", 0.1),
+        GaussianDensity([0.0, 0.0], [1.0, 1.0]),
+        [0.1, 0.2],
+    )
+    spec.mean(20)
+    tracemalloc.start()
+    try:
+        cgf_finite_n(spec, np.linspace(-1.0, 1.0, 40), 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
+
+
+def test_cumulant_node_chunks_do_not_move_the_value(monkeypatch):
+    # chunking the nodes only reorders the quadrature sum
+    import recdev.cgf
+
+    spec = CgfSpec(
+        builtin_kernel("gaussian", 1),
+        BandwidthSchedule(kind="power", c=0.5, a=0.2),
+        ScalingSequence("power", 0.1),
+        GaussianDensity([0.0], [1.0]),
+        [0.3],
+    )
+    u = np.linspace(-2.0, 2.0, 5)
+    whole = cgf_finite_n(spec, u, 100)
+    monkeypatch.setattr(recdev.cgf, "SUM_BLOCK_ENTRIES", 6 * 50)
+    chunked = cgf_finite_n(spec, u, 100)
+    assert np.max(np.abs(chunked - whole)) <= 1e-14 * np.max(np.abs(whole))
