@@ -75,6 +75,8 @@ class CgfSpec:
         pt = np.asarray(self.point, dtype=np.float64).reshape(-1)
         if len(pt) != d:
             raise ValueError(f"point must have {d} coordinates")
+        if not np.all(np.isfinite(pt)):
+            raise ValueError(f"point coordinates must be finite; got {pt.tolist()}")
         self.point = pt
 
     @property
@@ -220,6 +222,8 @@ def convergence_diagnostic(spec: CgfSpec, u_values, n_values) -> CgfConvergence:
     ns = np.asarray(sample_sizes(n_values, "n_values"), dtype=np.int64)
     if len(u) == 0:
         raise ValueError("need at least one u")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"u values must be finite; got {u.tolist()}")
     limit = np.atleast_1d(cgf_limit(spec, u))
     rows = np.empty((len(ns), len(u)))
     for r, n in enumerate(ns):

@@ -153,6 +153,8 @@ def parse_range(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"range '{text}' must be start:stop:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"range '{text}' needs finite start, stop and step")
     if not (step > 0 and hi >= lo):
         raise ValueError(f"range '{text}' needs step > 0 and stop >= start")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1

@@ -154,16 +154,27 @@ class UniformBoxDensity(Density):
         raise ValueError("uniform box density is not differentiable across its boundary")
 
 
+_DENSITY_KEYS = {
+    "gaussian": ("mean", "sigma"),
+    "gaussian_mixture": ("weights", "means", "sigmas"),
+    "uniform_box": ("low", "high"),
+}
+
+
 def build_density(name: str, params: dict) -> Density:
-    """Construct a density from flat config parameters."""
+    """Construct a density from flat config parameters; a key its family does not name raises."""
+    if name not in tuple(_DENSITY_KEYS):  # compared by ==, so any JSON value gets this message
+        raise ValueError(f"unknown density '{name}'; choose from {', '.join(_DENSITY_KEYS)}")
+    stray = sorted(set(params) - set(_DENSITY_KEYS[name]))
+    if stray:
+        raise ValueError(
+            f"density '{name}' takes parameters {', '.join(_DENSITY_KEYS[name])}; "
+            f"got unknown {', '.join(stray)}"
+        )
     if name == "gaussian":
         return GaussianDensity(params.get("mean", [0.0]), params.get("sigma", [1.0]))
     if name == "gaussian_mixture":
         if not {"weights", "means", "sigmas"} <= params.keys():
             raise ValueError("gaussian_mixture needs weights, means and sigmas")
         return GaussianMixtureDensity(params["weights"], params["means"], params["sigmas"])
-    if name == "uniform_box":
-        return UniformBoxDensity(params.get("low", [0.0]), params.get("high", [1.0]))
-    raise ValueError(
-        f"unknown density '{name}'; choose from gaussian, gaussian_mixture, uniform_box"
-    )
+    return UniformBoxDensity(params.get("low", [0.0]), params.get("high", [1.0]))

@@ -78,15 +78,15 @@ class DeviationExperiment:
     def __post_init__(self):
         self.replications = as_count(self.replications, "replications")
         self.rng_seed = as_seed(self.rng_seed)
-        if self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be finite and > 0; got {self.delta}")
         self.n_list = sample_sizes(self.n_list)
         if self.region is not None:
             self.region, _ = as_points(self.region, self.spec.kernel.dimension)
             if len(self.region) == 0:
                 raise ValueError("region grid must hold at least one point")
-        if self.xi is not None and self.xi <= 0:
-            raise ValueError("xi must be > 0")
+        if self.xi is not None and not (math.isfinite(self.xi) and self.xi > 0):
+            raise ValueError(f"xi must be finite and > 0; got {self.xi}")
 
 
 @dataclass(frozen=True)

@@ -80,7 +80,7 @@ class RecursiveEstimator:
     the next `values()` read, or to the update that fills the block of
     `BLOCK_ENTRIES // len(grid)` pending observations, whichever comes
     first.  A read therefore costs at most one block evaluation, and a
-    custom kernel's `eval_fn` error surfaces at `values()` (or at the update
+    custom kernel's `fn` error surfaces at `values()` (or at the update
     that fills the block), not at the update that supplied the observation;
     the pending observations stay counted, their terms are dropped, and the
     estimator stays usable.
@@ -225,7 +225,7 @@ def expected_estimate(
 
     def at_level(level):
         y, w = kernel_quadrature(kernel, level=level)
-        wk = w * kernel.eval_fn(y)
+        wk = w * kernel.partial_fn(None)(y)
 
         def terms(hb):
             rows = np.zeros((len(hb), m))

@@ -1,15 +1,17 @@
 """Kernel models: evaluation, partial derivatives, and the constants they feed.
 
 A kernel here is a bounded integrable function K on R^d with integral one.
-The built-in families (gaussian, epanechnikov, quartic) are products of a
-one-dimensional profile across coordinates, which keeps every constant a
-product of one-dimensional factors.  Signed or non-product kernels can be
-wrapped through the generic KernelModel constructor; they must then supply
-the support-sign measures themselves.
+Every kernel has one body, `fn(mi, pts)`, the alpha-partial d^mi K, with K
+itself at the zero index.  The built-in families (gaussian, epanechnikov,
+quartic) are products of a one-dimensional profile across coordinates: a
+profile is `derivative(k, x)` (k = 0 is the value) plus its constants, so
+every constant is a product of one-dimensional factors.  Signed or
+non-product kernels are wrapped by passing their own `fn` to KernelModel;
+they must then supply the support-sign measures themselves.
 
-Constants with a closed form (L2 norms, low moments, sup norms of the
-gaussian family) are filled analytically; everything else falls back to
-adaptive quadrature with a hard tolerance (relative for values above 1).
+The built-in families fill their constants (L2 norms, low moments, sup
+norms) in closed form; a custom kernel's come from adaptive quadrature with
+a hard tolerance (relative for values above 1) and from a sup scan.
 
 The primitives every other module builds on live here, one helper each:
 `as_points` (the point-shape rule), `as_multi_index` (None is the zero
@@ -146,36 +148,13 @@ def hermite_phi(k: int, x) -> np.ndarray:
     return ((-1.0) ** k) * he * phi
 
 
-class _Profile:
-    """One-dimensional kernel profile with analytic derivatives."""
-
-    name: str = ""
-    radius: float = 1.0
-    max_order: int = 0
-    # closed-form tables keyed by derivative order, filled per subclass
-    l2_table: dict = {}
-    sup_table: dict = {}
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def derivative(self, k: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def moment(self, s: int) -> float:
-        """integral of x^s * profile(x) over R (closed form where cheap)."""
-        raise NotImplementedError
-
-
-class _GaussianProfile(_Profile):
+class _GaussianProfile:
     name = "gaussian"
     # phi(8.5) ~ 5e-17; integrand tails beyond the box are < 1e-14 even
     # after multiplication by moderate exp factors
     radius = 8.5
     max_order = 6
-
-    def value(self, x):
-        return hermite_phi(0, x)
+    sup = 1.0 / SQRT_2PI  # phi(0)
 
     def derivative(self, k, x):
         return hermite_phi(k, x)
@@ -198,27 +177,18 @@ class _GaussianProfile(_Profile):
             for k in range(self.max_order + 1)
         }
 
-    @property
-    def sup_table(self):
-        # |phi^(k)| maxima for the orders used in practice
-        phi = lambda x: math.exp(-0.5 * x * x) / SQRT_2PI
-        return {0: phi(0.0), 1: phi(1.0), 2: phi(0.0)}
 
-
-class _EpanechnikovProfile(_Profile):
+class _EpanechnikovProfile:
     name = "epanechnikov"
     radius = 1.0
     max_order = 0  # the slope is discontinuous at the support edge
     l2_table = {0: 3.0 / 5.0}
-    sup_table = {0: 0.75}
-
-    def value(self, x):
-        inside = np.abs(x) < 1.0
-        return np.where(inside, 0.75 * (1.0 - x * x), 0.0)
+    sup = 0.75
 
     def derivative(self, k, x):
         if k == 0:
-            return self.value(x)
+            inside = np.abs(x) < 1.0
+            return np.where(inside, 0.75 * (1.0 - x * x), 0.0)
         raise ValueError("epanechnikov kernel is not differentiable at its support edge")
 
     def moment(self, s):
@@ -228,23 +198,19 @@ class _EpanechnikovProfile(_Profile):
         return 1.5 * (1.0 / (s + 1.0) - 1.0 / (s + 3.0))
 
 
-class _QuarticProfile(_Profile):
+class _QuarticProfile:
     name = "quartic"
     radius = 1.0
     max_order = 1  # C^1 across the support edge, second derivative jumps
     l2_table = {0: 5.0 / 7.0, 1: 15.0 / 7.0}
-    sup_table = {0: 15.0 / 16.0, 1: 15.0 / (4.0 * math.sqrt(3.0)) * (2.0 / 3.0)}
-
-    def value(self, x):
-        inside = np.abs(x) < 1.0
-        t = 1.0 - x * x
-        return np.where(inside, (15.0 / 16.0) * t * t, 0.0)
+    sup = 15.0 / 16.0
 
     def derivative(self, k, x):
+        inside = np.abs(x) < 1.0
         if k == 0:
-            return self.value(x)
+            t = 1.0 - x * x
+            return np.where(inside, (15.0 / 16.0) * t * t, 0.0)
         if k == 1:
-            inside = np.abs(x) < 1.0
             return np.where(inside, -(15.0 / 4.0) * x * (1.0 - x * x), 0.0)
         raise ValueError("quartic kernel has no continuous derivatives past order 1")
 
@@ -268,27 +234,27 @@ _PROFILES = {
 class KernelModel:
     """A kernel on R^d plus the metadata the deviation theory needs.
 
-    `eval_fn` maps an (n, d) array to (n,) values.  `deriv_fn(alpha, pts)`
-    evaluates the partial derivative for a MultiIndex alpha; it may be None
-    for kernels wrapped without derivative support.  The sign-set measures
+    `fn(mi, pts)` maps a MultiIndex and an (n, d) array to the (n,) values
+    of the partial d^mi K; the zero index gives K itself.  It is only asked
+    for orders up to `max_derivative_order`, so a custom kernel without
+    derivatives sets that to 0 and may ignore `mi`.  The sign-set measures
     are Lebesgue measures of {K > 0} and {K < 0} and drive the branch logic
     of the rate transform, so custom kernels must state them explicitly.
-    Built-in kernels carry the 1-d `profile` they are a product of, which
-    supplies their constants in closed form.  Kernels are even in each
-    coordinate: psi folds its z rule onto (0, r)^d, and `PsiEvaluator` checks.
+    Built-in kernels carry the 1-d `profile` they are a product of: its
+    `derivative(k, x)` (k = 0 is the value) and its constants in closed form.
+    Kernels are even in each coordinate: psi folds its z rule onto (0, r)^d,
+    and `PsiEvaluator` checks.
     """
 
     name: str
     dimension: int
-    eval_fn: Callable[[np.ndarray], np.ndarray]
-    deriv_fn: Optional[Callable[[MultiIndex, np.ndarray], np.ndarray]]
+    fn: Callable[[MultiIndex, np.ndarray], np.ndarray]
     support_radius: float
     positive_support_measure: float
     negative_support_measure: float
     max_derivative_order: int
-    profile: Optional[_Profile] = None
+    profile: Optional[object] = None
     _l2_cache: dict = field(default_factory=dict, repr=False)
-    _sup_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.dimension = as_count(self.dimension, "kernel dimension")
@@ -302,20 +268,15 @@ class KernelModel:
     def partial_fn(self, alpha) -> Callable[[np.ndarray], np.ndarray]:
         """d^alpha K as a function of an (n, d) array, validated once here."""
         mi = as_multi_index(alpha, self.dimension)
-        if mi.order == 0:
-            return self.eval_fn
         if mi.order > self.max_derivative_order:
             raise ValueError(
                 f"kernel '{self.name}' supports derivatives up to order "
                 f"{self.max_derivative_order}, requested |alpha| = {mi.order}"
             )
-        if self.deriv_fn is None:
-            raise ValueError(f"kernel '{self.name}' has no derivative implementation")
-        return functools.partial(self.deriv_fn, mi)
+        return functools.partial(self.fn, mi)
 
     def eval(self, points):
-        pts, lead = as_points(points, self.dimension)
-        return self.eval_fn(pts).reshape(lead)
+        return self.deriv_eval(None, points)
 
     def deriv_eval(self, alpha, points):
         fn = self.partial_fn(alpha)
@@ -324,13 +285,18 @@ class KernelModel:
 
     # -- constants -----------------------------------------------------
 
-    def sup_norm(self, alpha=None) -> float:
-        """sup |d^alpha K|, from closed forms where known, else a grid scan."""
-        mi = as_multi_index(alpha, self.dimension)
-        key = mi.components
-        if key not in self._sup_cache:
-            self._sup_cache[key] = self._compute_sup(mi)
-        return self._sup_cache[key]
+    def sup_norm(self) -> float:
+        """sup |K|: the profile's constant per axis, else a scan (d = 1) or a mesh (d = 2, 3)."""
+        d, r = self.dimension, self.support_radius
+        if self.profile is not None:
+            return math.prod([self.profile.sup] * d)
+        f = self.partial_fn(None)
+        if d == 1:
+            return scan_sup(lambda x: f(x.reshape(-1, 1)), -r, r, 20001)
+        if d > 3:
+            raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
+        mesh = tensor_grid(np.linspace(-r, r, 201 if d == 2 else 41), d)
+        return float(np.max(np.abs(f(mesh))))
 
     def l2_norm_sq(self, alpha=None) -> float:
         """integral of (d^alpha K)^2 over R^d; refuses the orders `partial_fn` refuses."""
@@ -343,25 +309,6 @@ class KernelModel:
                 lambda p: f(p) ** 2, self.dimension, self.support_radius
             )
         return self._l2_cache[mi.components]
-
-    def _compute_sup(self, mi: MultiIndex) -> float:
-        d, r = self.dimension, self.support_radius
-        if self.profile is not None:
-            out = 1.0
-            for aj in mi.components:
-                tab = self.profile.sup_table
-                if aj in tab:
-                    out *= tab[aj]
-                else:
-                    out *= scan_sup(lambda x, k=aj: self.profile.derivative(k, x), -r, r, 20001)
-            return out
-        f = self.partial_fn(mi)
-        if d == 1:
-            return scan_sup(lambda x: f(x.reshape(-1, 1)), -r, r, 20001)
-        if d > 3:
-            raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
-        mesh = tensor_grid(np.linspace(-r, r, 201 if d == 2 else 41), d)
-        return float(np.max(np.abs(f(mesh))))
 
 
 def _tensor_integral(f, d: int, radius: float) -> float:
@@ -404,24 +351,17 @@ def builtin_kernel(name: str, d: int = 1) -> KernelModel:
         raise ValueError(f"unknown kernel '{name}'; choose from {sorted(_PROFILES)}")
     profile = _PROFILES[name]
 
-    def eval_fn(pts: np.ndarray) -> np.ndarray:
-        out = profile.value(pts[:, 0])
+    def fn(mi: MultiIndex, pts: np.ndarray) -> np.ndarray:
+        out = profile.derivative(mi.components[0], pts[:, 0])
         for j in range(1, d):
-            out = out * profile.value(pts[:, j])
-        return out
-
-    def deriv_fn(mi: MultiIndex, pts: np.ndarray) -> np.ndarray:
-        out = np.ones(len(pts))
-        for j, aj in enumerate(mi.components):
-            out = out * profile.derivative(aj, pts[:, j])
+            out = out * profile.derivative(mi.components[j], pts[:, j])
         return out
 
     pos = math.inf if name == "gaussian" else 2.0**d
     return KernelModel(
         name=name,
         dimension=d,
-        eval_fn=eval_fn,
-        deriv_fn=deriv_fn,
+        fn=fn,
         support_radius=profile.radius,
         positive_support_measure=pos,
         negative_support_measure=0.0,
@@ -438,7 +378,8 @@ def kernel_moment(model: KernelModel, s: int, axis: int = 0) -> float:
         raise ValueError(f"axis {axis} out of range for d={model.dimension}")
     if model.profile is not None:
         return model.profile.moment(s)
-    f = lambda p: model.eval_fn(p) * p[:, axis] ** s
+    k = model.partial_fn(None)
+    f = lambda p: k(p) * p[:, axis] ** s
     return _tensor_integral(f, model.dimension, model.support_radius)
 
 
@@ -447,6 +388,7 @@ def norm_moment(model: KernelModel, s: int = 2) -> float:
     if s == 2 and model.negative_support_measure == 0.0:
         # ||y||^2 splits across axes and |K| = K
         return sum(kernel_moment(model, 2, axis=j) for j in range(model.dimension))
-    f = lambda p: np.abs(model.eval_fn(p)) * np.sum(p * p, axis=1) ** (s / 2.0)
+    k = model.partial_fn(None)
+    f = lambda p: np.abs(k(p)) * np.sum(p * p, axis=1) ** (s / 2.0)
     return _tensor_integral(f, model.dimension, model.support_radius)
 

@@ -150,6 +150,7 @@ class PsiEvaluator:
         if kernel.dimension > 3:
             raise ValueError("psi quadrature supports d <= 3")
         self.kernel = kernel
+        self._k = kernel.partial_fn(None)
         self.a = float(a)
         self.ad = self.a * kernel.dimension
         if not (0.0 < self.ad < 1.0):
@@ -164,8 +165,8 @@ class PsiEvaluator:
         self._arg_lo = -self._c * sup if kernel.negative_support_measure > 0 else 0.0
         flips = 1.0 - 2.0 * np.eye(kernel.dimension)  # each row negates one coordinate
         for z, _ in self._nodes(_LEVELS[0]):
-            kz = kernel.eval_fn(z)
-            if not all(np.allclose(kernel.eval_fn(z * f), kz, rtol=1e-12, atol=0.0) for f in flips):
+            kz = self._k(z)
+            if not all(np.allclose(self._k(z * f), kz, rtol=1e-12, atol=0.0) for f in flips):
                 raise ValueError(f"kernel '{kernel.name}' must be even in each coordinate for psi")
 
     # -- plumbing --------------------------------------------------------
@@ -185,7 +186,7 @@ class PsiEvaluator:
         """Row k holds quantity kinds[k] at every u, from one z rule and one exp argument."""
         out = np.zeros((len(kinds), len(u)))
         for z, w in self._nodes(level):
-            ck = self._c * self.kernel.eval_fn(z)
+            ck = self._c * self._k(z)
             u_step = max(1, BLOCK_ENTRIES // _TERMS // len(ck))
             for i in range(0, len(u), u_step):
                 arg = np.multiply.outer(u[i : i + u_step], ck)

@@ -57,7 +57,7 @@ def _direct_mean(kernel, schedule, density, n, points, alpha=None):
     pts, _ = as_points(points, kernel.dimension)
     hs = schedule.values(n)
     y, w = kernel_quadrature(kernel, level=LEVEL)
-    wk = w * kernel.eval_fn(y)
+    wk = w * kernel.eval(y)
     rows = []
     step = max(1, int(4_000_000 // max(len(y) * len(pts), 1)))
     for i0 in range(0, n, step):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -384,6 +385,16 @@ _STRUCTURAL_FAULTS = [
     ("estimate", dict(seed=-1)),
     ("simulate", dict(seed=-1)),
     ("chernoff", dict(seed=2**64)),
+    # non-finite numbers, refused where each is owned
+    ("rate", dict(t_grid="0:inf:1")),
+    ("simulate", dict(delta=math.nan)),
+    ("simulate", dict(delta=math.inf)),
+    ("simulate", dict(xi=math.nan, region="0:1:0.5")),
+    ("cgf", dict(u_values=[math.nan])),
+    ("estimate", dict(point=[math.nan])),
+    # density parameters the family does not name
+    ("estimate", dict(density_maen=[3.0])),
+    ("estimate", dict(density="uniform_box", density_mean=[0.0])),
 ]
 
 

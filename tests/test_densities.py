@@ -129,6 +129,8 @@ def test_build_density_dispatch():
     assert isinstance(box, UniformBoxDensity)
     with pytest.raises(ValueError):
         build_density("cauchy", {})
+    with pytest.raises(ValueError, match="takes parameters low, high; got unknown mean"):
+        build_density("uniform_box", {"low": [0.0], "mean": [1.0]})
 
 
 @given(st.floats(min_value=-3, max_value=3), st.floats(min_value=0.3, max_value=2.5))

@@ -170,12 +170,12 @@ def test_kernel_error_drops_the_pending_rows_and_keeps_the_estimator_usable():
     # rows stay counted without terms, and later updates and reads work
     base = builtin_kernel("epanechnikov", 1)
 
-    def eval_fn(pts):
+    def fn(mi, pts):
         if np.any(np.abs(pts) > 1e6):
             raise ValueError("marked observation")
-        return base.eval_fn(pts)
+        return base.fn(mi, pts)
 
-    kernel = dataclasses.replace(base, name="failing", eval_fn=eval_fn)
+    kernel = dataclasses.replace(base, name="failing", fn=fn)
     grid = np.linspace(-2.0, 2.0, 20).reshape(-1, 1)
 
     def term(i, x):

@@ -12,6 +12,7 @@ from recdev.densities import GaussianDensity
 from recdev.deviations import DeviationExperiment
 from recdev.estimator import RecursiveEstimator, batch_values, expected_estimate
 from recdev.kernels import (
+    KernelModel,
     MultiIndex,
     as_multi_index,
     as_points,
@@ -80,6 +81,39 @@ def test_sup_and_l2_against_closed_forms():
     q = builtin_kernel("quartic", 1)
     assert_allclose(q.sup_norm(), 15.0 / 16.0, rtol=1e-12)
     assert_allclose(q.l2_norm_sq(), 5.0 / 7.0, rtol=1e-12)
+
+
+def _parabola_kernel(d):
+    """The product parabola 0.75 (1 - y_j^2) on (-1, 1)^d, built from `fn` alone."""
+
+    def fn(mi, pts):
+        out = np.ones(len(pts))
+        for y in pts.T:
+            out = out * np.where(np.abs(y) < 1.0, 0.75 * (1.0 - y * y), 0.0)
+        return out
+
+    return KernelModel(
+        name="parabola",
+        dimension=d,
+        fn=fn,
+        support_radius=1.0,
+        positive_support_measure=2.0**d,
+        negative_support_measure=0.0,
+        max_derivative_order=0,
+    )
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_custom_kernel_from_fn_alone(d):
+    # no profile: the sup scan (d = 1) or mesh (d = 2) and the tensor L2
+    # quadrature stand in for the closed forms of the built-in epanechnikov
+    k = _parabola_kernel(d)
+    pts = np.random.default_rng(5).uniform(-1.3, 1.3, size=(400, d))
+    assert k.eval(pts).tobytes() == builtin_kernel("epanechnikov", d).eval(pts).tobytes()
+    assert k.sup_norm() == 0.75**d  # both grids contain 0
+    assert_allclose(k.l2_norm_sq(), 0.6**d, rtol=1e-9)
+    with pytest.raises(ValueError, match="up to order 0, requested \\|alpha\\| = 1"):
+        k.deriv_eval((1,) + (0,) * (d - 1), pts)
 
 
 def test_support_measures():

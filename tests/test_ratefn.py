@@ -352,8 +352,7 @@ def test_constructor_refuses_zero_exponent_and_uneven_kernel():
     shifted = KernelModel(
         name="shifted_parabola",
         dimension=1,
-        eval_fn=lambda pts: signed.eval_fn(pts - 0.1),
-        deriv_fn=None,
+        fn=lambda mi, pts: signed.fn(mi, pts - 0.1),
         support_radius=1.1,
         positive_support_measure=signed.positive_support_measure,
         negative_support_measure=signed.negative_support_measure,
@@ -381,15 +380,14 @@ def test_psi_memory_stays_within_the_block_budget():
 
 def _signed_kernel():
     # 1.5 (1 - 2 z^2) on [-1, 1]: unit mass, sign change at |z| = 1/sqrt(2)
-    def eval_fn(pts):
+    def fn(mi, pts):
         z = pts[:, 0]
         return np.where(np.abs(z) <= 1.0, 1.5 * (1.0 - 2.0 * z * z), 0.0)
 
     return KernelModel(
         name="signed_parabola",
         dimension=1,
-        eval_fn=eval_fn,
-        deriv_fn=None,
+        fn=fn,
         support_radius=1.0,
         positive_support_measure=math.sqrt(2.0),
         negative_support_measure=2.0 - math.sqrt(2.0),
