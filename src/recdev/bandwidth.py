@@ -29,12 +29,13 @@ it back to the direct O(n) sum.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import NeumaierSum, agrees, as_count, compensated_cumsum
+from .numerics import ROW_BLOCK_ENTRIES, NeumaierSum, agrees, as_count, compensated_cumsum
 
 BANDWIDTH_KINDS = ("power", "power_log")
 SCALING_KINDS = ("constant_one", "power")
@@ -44,7 +45,10 @@ SUM_TOL = 1e-13
 # first Chebyshev degree compared with its doubling, and the largest tried
 _CHEB_START = 16
 _CHEB_MAX = 512
-# entries of the temporaries F may build for one block of bandwidths
+# float64 entries (32 MB) per temporary of the two block splits that fix a
+# bandwidth sum's order, F's quadrature-node chunks and the direct sum's
+# fold groups, so changing it may move a sum's last bits; F's evaluation
+# rows, which cannot, follow `numerics.ROW_BLOCK_ENTRIES` instead
 SUM_BLOCK_ENTRIES = 4_000_000
 
 
@@ -67,8 +71,8 @@ class BandwidthSchedule:
     def __post_init__(self):
         if self.kind not in BANDWIDTH_KINDS:
             raise ValueError(f"kind must be one of {BANDWIDTH_KINDS}, got '{self.kind}'")
-        if not (self.c > 0):
-            raise ValueError(f"bandwidth constant c must be > 0, got {self.c}")
+        if not (0 < self.c < math.inf):
+            raise ValueError(f"bandwidth constant c must be finite and > 0, got {self.c}")
         if not (0.0 <= self.a < 1.0):
             raise ValueError(f"bandwidth exponent a must satisfy 0 <= a < 1, got {self.a}")
 
@@ -178,15 +182,25 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
     before the samples reach n/2, so no input costs more than about 1.5
     direct sums.
 
-    `entries` is the size of F's temporaries per bandwidth; F is called on
-    blocks of at most SUM_BLOCK_ENTRIES / entries bandwidths.  Each row of
-    F must depend on its own bandwidth alone, so results do not depend on
-    the blocking.
+    `entries` is the size of F's temporaries per bandwidth.  Two block
+    splits follow from it, and they differ in what they may change:
+
+    * the order of the sum: F's own quadrature-node chunks (sized by the
+      caller from `SUM_BLOCK_ENTRIES`) and the direct sum's fold groups of
+      SUM_BLOCK_ENTRIES / entries bandwidths, each summed by numpy and
+      then folded in order with compensation.  Changing either may move
+      the last bits of a result.
+    * the evaluation rows: F is called on row blocks of at most
+      ROW_BLOCK_ENTRIES / entries bandwidths (at least one), so its
+      temporaries stay in cache and below the allocator's mmap threshold.
+      Each row of F must depend on its own bandwidth alone, so this split
+      never changes a bit.
     """
+    rows = max(1, ROW_BLOCK_ENTRIES // max(entries, 1))
     step = max(1, SUM_BLOCK_ENTRIES // max(entries, 1))
 
     def evaluate(h: np.ndarray) -> np.ndarray:
-        return np.concatenate([terms(h[i : i + step]) for i in range(0, len(h), step)])
+        return np.concatenate([terms(h[i : i + rows]) for i in range(0, len(h), rows)])
 
     deg = 2 * _CHEB_START
     if n >= 2 * (deg + 1):
@@ -216,7 +230,7 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
             new[1::2] = sample(np.arange(1, 2 * deg, 2), 2 * deg)
             vals, deg = new, 2 * deg
     hs = schedule.values(n)
-    parts = np.stack([terms(hs[i0 : i0 + step]).sum(axis=0) for i0 in range(0, n, step)])
+    parts = np.stack([evaluate(hs[i0 : i0 + step]).sum(axis=0) for i0 in range(0, n, step)])
     acc = NeumaierSum(shape=parts.shape[1:])
     acc.add_rows(parts)
     return weight * acc.total

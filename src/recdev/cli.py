@@ -172,6 +172,8 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
         pts = pts.reshape(-1, 1) if cfg.dimension == 1 else pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[-1] != cfg.dimension:
         raise ValueError(f"region points must have {cfg.dimension} coordinates each")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"region points must be finite; got {pts.tolist()}")
     return pts
 
 

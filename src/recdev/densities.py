@@ -19,6 +19,13 @@ import numpy as np
 from .kernels import MultiIndex, as_multi_index, as_points, hermite_phi, scan_sup
 
 
+def _require_finite(**params) -> None:
+    """Refuse a NaN or infinite parameter, naming it."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite; got {value.tolist()}")
+
+
 class Density:
     """Shared point handling; subclasses fill _partial/sample."""
 
@@ -58,6 +65,7 @@ class GaussianDensity(Density):
         self.sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
         if self.mean.shape != self.sigma.shape or self.mean.ndim != 1:
             raise ValueError("mean and sigma must be 1-D arrays of equal length")
+        _require_finite(mean=self.mean, sigma=self.sigma)
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be positive")
         self.dimension = len(self.mean)
@@ -65,10 +73,15 @@ class GaussianDensity(Density):
         self.max_derivative_order = 6
 
     def _partial(self, mi, pts):
-        z = (pts - self.mean) / self.sigma
-        out = np.ones(len(pts))
+        # z and each factor are fresh arrays, scaled in place; the product
+        # starts from axis 0's factor, at the plain product's bits (1.0 v = v)
+        z = pts - self.mean
+        z /= self.sigma
+        out = None
         for j, aj in enumerate(mi.components):
-            out *= hermite_phi(aj, z[:, j]) / self.sigma[j] ** (aj + 1)
+            factor = hermite_phi(aj, z[:, j])
+            factor /= self.sigma[j] ** (aj + 1)
+            out = factor if out is None else out * factor
         return out
 
     def sample(self, rng, n):
@@ -94,6 +107,7 @@ class GaussianMixtureDensity(Density):
             raise ValueError("weights and means must have matching first dimension")
         if self.means.shape != self.sigmas.shape:
             raise ValueError("means and sigmas must have matching shapes")
+        _require_finite(weights=self.weights, means=self.means, sigmas=self.sigmas)
         if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to one")
         if np.any(self.sigmas <= 0):
@@ -133,6 +147,7 @@ class UniformBoxDensity(Density):
         self.high = np.atleast_1d(np.asarray(high, dtype=np.float64))
         if self.low.shape != self.high.shape or self.low.ndim != 1:
             raise ValueError("low and high must be 1-D arrays of equal length")
+        _require_finite(low=self.low, high=self.high)
         if np.any(self.high <= self.low):
             raise ValueError("box must have positive volume")
         self.dimension = len(self.low)

@@ -1,6 +1,6 @@
 """Shared numerical primitives: quadrature rules, compensated sums, exp guards,
-the block budget `BLOCK_ENTRIES`, and the integer checks (`as_count`,
-`as_seed`, `sample_sizes`) the constructors share.
+the block budgets `BLOCK_ENTRIES` and `ROW_BLOCK_ENTRIES`, and the integer
+checks (`as_count`, `as_seed`, `sample_sizes`) the constructors share.
 
 Two node families cover every integral in the package:
 
@@ -35,6 +35,11 @@ EXP_ARG_LIMIT = 700.0
 # temporaries: psi's series blocks, the estimator's kernel evaluations over
 # observations x grid points, and a Monte Carlo chunk of replications x n_max
 BLOCK_ENTRIES = 1 << 16
+# float64 entries (128 KiB) per temporary of one row block of a bandwidth
+# sum's F: glibc's default mmap threshold, so each temporary is reused from
+# the heap instead of being mapped and faulted in again on every call, and
+# within L2 cache
+ROW_BLOCK_ENTRIES = 1 << 14
 
 
 class QuadratureError(RuntimeError):

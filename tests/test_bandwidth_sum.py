@@ -28,6 +28,7 @@ from recdev.cgf import CgfSpec, cgf_finite_n
 from recdev.densities import GaussianDensity, GaussianMixtureDensity, UniformBoxDensity
 from recdev.estimator import expected_estimate
 from recdev.kernels import as_multi_index, as_points, builtin_kernel, kernel_quadrature
+from recdev.numerics import ROW_BLOCK_ENTRIES
 
 ORACLE_TOL = 1e-12
 LEVEL = 2  # the level both routines return after their two-level check
@@ -198,19 +199,31 @@ def test_constant_schedule_sums_one_term():
 
 def test_sum_depends_on_its_inputs_alone():
     # the same sum from a fresh schedule, from one whose moment cache was
-    # grown first, and with F called on blocks of a different size
+    # grown first, and with F called on row blocks of any size: every
+    # sample in one call (entries = 1), three rows, or one row per call
+    seen = []
+
     def terms(h):
+        seen.append(len(h))
         return np.stack([np.exp(-h), np.sin(3.0 * h)], axis=1)
 
     def total(schedule, entries):
-        return bandwidth_sum(schedule, 20_000, terms, entries, 1.0)
+        seen.clear()
+        out = bandwidth_sum(schedule, 20_000, terms, entries, 1.0)
+        # certified by the interpolant: a few samples, not the direct sum
+        assert sum(seen) < 1000
+        return out
 
     fresh = total(BandwidthSchedule(kind="power_log", c=0.5, a=0.4), 1)
+    assert seen == [33]
     used = BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
     used.chebyshev_moments(20_000, 512)
     used.chebyshev_moments(777, 64)
     assert total(used, 1).tobytes() == fresh.tobytes()
-    assert total(used, 3_000_000).tobytes() == fresh.tobytes()
+    assert total(used, ROW_BLOCK_ENTRIES // 3).tobytes() == fresh.tobytes()
+    assert max(seen) == 3
+    assert total(used, 10**9).tobytes() == fresh.tobytes()
+    assert set(seen) == {1}
     hs = used.values(20_000)
     assert np.max(np.abs(fresh - np.array([math.fsum(col) for col in terms(hs).T]))) <= 1e-10
 
@@ -250,6 +263,25 @@ def test_direct_fallback_folds_like_one_add_per_block(n):
         c = c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
         s = t
     assert got.tobytes() == (0.3 * (s + c)).tobytes()
+
+
+def test_mean_temporaries_stay_in_row_blocks():
+    # the 1-d gaussian mean at 10 points and n = 8000: F runs on row blocks
+    # of ROW_BLOCK_ENTRIES entries per temporary (128 KiB), so the peak is
+    # about 0.5 MB where one block of all 65 samples took 7.6 MB
+    kernel = builtin_kernel("gaussian", 1)
+    f = GaussianDensity([0.0], [1.0])
+    pts = np.concatenate([[0.0], np.arange(-1.0, 1.0 + 1e-9, 0.25)])
+    # the quadrature rules are built once per process; leave them out
+    expected_estimate(kernel, BandwidthSchedule(kind="power", c=0.7, a=0.3), f, 100, pts)
+    sched = BandwidthSchedule(kind="power", c=0.7, a=0.3)
+    tracemalloc.start()
+    try:
+        expected_estimate(kernel, sched, f, 8000, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1e6
 
 
 def test_mean_memory_is_bounded_in_two_dimensions():

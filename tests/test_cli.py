@@ -392,6 +392,19 @@ _STRUCTURAL_FAULTS = [
     ("simulate", dict(xi=math.nan, region="0:1:0.5")),
     ("cgf", dict(u_values=[math.nan])),
     ("estimate", dict(point=[math.nan])),
+    ("estimate", dict(bandwidth_c=math.inf)),
+    ("estimate", dict(density_mean=[math.nan])),
+    ("estimate", dict(density_sigma=[math.inf])),
+    ("estimate", dict(density="gaussian_mixture", density_weights=[math.nan, 0.5],
+                      density_means=[[0.0], [1.0]], density_sigmas=[[1.0], [1.0]])),
+    ("estimate", dict(density="gaussian_mixture", density_weights=[0.5, 0.5],
+                      density_means=[[0.0], [math.inf]], density_sigmas=[[1.0], [1.0]])),
+    ("estimate", dict(density="gaussian_mixture", density_weights=[0.5, 0.5],
+                      density_means=[[0.0], [1.0]], density_sigmas=[[1.0], [math.nan]])),
+    ("estimate", dict(density="uniform_box", density_low=[-math.inf], density_high=[1.0])),
+    ("estimate", dict(density="uniform_box", density_low=[0.0], density_high=[math.nan])),
+    ("estimate", dict(region=[[math.nan]])),
+    ("simulate", dict(region=[[0.0], [math.inf]])),
     # density parameters the family does not name
     ("estimate", dict(density_maen=[3.0])),
     ("estimate", dict(density="uniform_box", density_mean=[0.0])),
