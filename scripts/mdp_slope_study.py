@@ -61,7 +61,7 @@ def main(argv=None) -> int:
             replications=args.replications,
             rng_seed=args.seed,
         )
-        report = run_pointwise(exp, "mdp")
+        report = run_pointwise(exp)
         chern = chernoff_upper_curve(exp, base=report)
         for row, crow in zip(report.rows, chern.rows):
             flag = "*" if row.censored else " "

@@ -34,6 +34,7 @@ tabulates the finite-n curves against the limit over a grid of u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -52,9 +53,12 @@ from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_r
 _FINITE_N_TOL = 1e-8
 
 
-@dataclass
+@dataclass(eq=False)
 class CgfSpec:
-    """Everything the cumulant curves depend on: model, schedule, and point."""
+    """Everything the cumulant curves depend on: model, schedule, and point.
+
+    Compared and hashed by identity: the point is an array, and the caches fill with use.
+    """
 
     kernel: KernelModel
     schedule: BandwidthSchedule
@@ -62,8 +66,8 @@ class CgfSpec:
     density: Density
     point: np.ndarray
     alpha: tuple = None
-    _psi: Optional[PsiEvaluator] = field(default=None, repr=False)
-    _means: dict = field(default_factory=dict, repr=False, compare=False)
+    _psi: Optional[PsiEvaluator] = field(default=None, init=False, repr=False)
+    _means: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d = self.kernel.dimension
@@ -86,8 +90,9 @@ class CgfSpec:
             return "ldp"
         return "moderate"
 
-    @property
+    @functools.cached_property
     def density_at_point(self) -> float:
+        """f(x), evaluated once per spec."""
         return float(self.density.pdf(self.point.reshape(1, -1))[0])
 
     def mean(self, n: int) -> float:

@@ -191,9 +191,16 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
     (1) the fields no library object owns (mode, q, m_q, and n_list and
     seed where no experiment holds them), then building the kernel with its alpha
     derivative, the two sequences and the density; (2) the hypotheses
-    H2-H10, each citing its tag; (3) building the subcommand's own objects.
-    A constructor's message is reported untagged, first fault only.
+    H2-H10, each citing its tag; (3) building the `CgfSpec` (and for simulate,
+    bias and chernoff the `DeviationExperiment`) from step 1's objects, which
+    `run` then hands to the subcommand.  A constructor's message is reported
+    untagged, first fault only.
     """
+    return _check(cfg, subcommand)[0]
+
+
+def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
+    """`validate`'s steps; returns (violations, the object the body runs on, or None)."""
     bad: list = []
     if cfg.mode is not None and cfg.mode not in _MODES:
         bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
@@ -206,14 +213,15 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
             sample_sizes(cfg.n_list)
         if subcommand == "estimate":  # the other sampling subcommands build an experiment
             as_seed(cfg.seed)
-        builtin_kernel(cfg.kernel, cfg.dimension).partial_fn(cfg.alpha or None)
-        BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)
-        ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b)
-        build_density(cfg.density, cfg.density_params)
+        kernel = builtin_kernel(cfg.kernel, cfg.dimension)
+        kernel.partial_fn(cfg.alpha or None)
+        schedule = BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)
+        scaling = ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b)
+        density = build_density(cfg.density, cfg.density_params)
     except (TypeError, ValueError) as exc:
         bad.append(str(exc))
     if bad:
-        return bad
+        return bad, None
 
     a, b, q = cfg.bandwidth_a, cfg.scaling_b, cfg.q
     k = cfg.dimension + 2 * sum(cfg.alpha)
@@ -249,45 +257,24 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
                 f"and |alpha|={sum(cfg.alpha)}"
             )
     if bad:
-        return bad
+        return bad, None
     try:
+        built = CgfSpec(kernel=kernel, schedule=schedule, scaling=scaling, density=density,
+                        point=cfg.point, alpha=cfg.alpha or None)
+        region = region_points(cfg)
         if subcommand in ("simulate", "bias", "chernoff"):
-            _build_experiment(cfg)
-        else:
-            _build_spec(cfg)
-            region_points(cfg)
+            built = DeviationExperiment(spec=built, delta=cfg.delta, n_list=cfg.n_list,
+                                        replications=cfg.replications, rng_seed=cfg.seed,
+                                        region=region, xi=cfg.xi)
         if subcommand == "rate":
             parse_range(cfg.t_grid)
     except (TypeError, ValueError) as exc:
-        return [str(exc)]
-    return []
+        return [str(exc)], None
+    return [], built
 
 
 # ---------------------------------------------------------------------------
-# Object assembly and output helpers.
-
-
-def _build_spec(cfg: ExperimentConfig) -> CgfSpec:
-    return CgfSpec(
-        kernel=builtin_kernel(cfg.kernel, cfg.dimension),
-        schedule=BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a),
-        scaling=ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b),
-        density=build_density(cfg.density, cfg.density_params),
-        point=cfg.point,
-        alpha=cfg.alpha or None,
-    )
-
-
-def _build_experiment(cfg: ExperimentConfig) -> DeviationExperiment:
-    return DeviationExperiment(
-        spec=_build_spec(cfg),
-        delta=cfg.delta,
-        n_list=cfg.n_list,
-        replications=cfg.replications,
-        rng_seed=cfg.seed,
-        region=region_points(cfg),
-        xi=cfg.xi,
-    )
+# Output helpers.
 
 
 def _float_out(x: float):
@@ -351,11 +338,11 @@ def _verdict_dicts(report) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (csv_header, csv_rows, summary, verdicts).
+# Subcommand bodies.  Each runs on the CgfSpec or DeviationExperiment that
+# `_check` built and returns (csv_header, csv_rows, summary).
 
 
-def _cmd_estimate(cfg: ExperimentConfig):
-    spec = _build_spec(cfg)
+def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec):
     grid = region_points(cfg)
     if grid is None:
         grid = spec.point.reshape(1, -1)
@@ -370,31 +357,28 @@ def _cmd_estimate(cfg: ExperimentConfig):
         for i in range(len(grid))
     ]
     summary = {
-        "subcommand": "estimate",
         "n": n,
         "grid_size": len(grid),
         "sup_abs_error": float(np.max(np.abs(estimates - targets))),
     }
-    return header, rows, summary, []
+    return header, rows, summary
 
 
-def _cmd_rate(cfg: ExperimentConfig):
-    psi = _build_spec(cfg).psi()
+def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec):
+    psi = spec.psi()
     ts = parse_range(cfg.t_grid)
     values = [psi.legendre(float(t)) for t in ts]
     header = ["t", "rate"]
-    rows = [[float(t), (rv.value if rv.finite else math.inf)] for t, rv in zip(ts, values)]
+    rows = [[float(t), rv.value] for t, rv in zip(ts, values)]
     summary = {
-        "subcommand": "rate",
         "t_grid": cfg.t_grid,
         "rows": len(rows),
         "finite_entries": sum(1 for rv in values if rv.finite),
     }
-    return header, rows, summary, []
+    return header, rows, summary
 
 
-def _cmd_cgf(cfg: ExperimentConfig):
-    spec = _build_spec(cfg)
+def _cmd_cgf(cfg: ExperimentConfig, spec: CgfSpec):
     conv = convergence_diagnostic(spec, cfg.u_values, cfg.n_list)
     header = ["n", "u", "finite_n", "limit", "abs_error"]
     rows = []
@@ -412,85 +396,74 @@ def _cmd_cgf(cfg: ExperimentConfig):
         }
     ]
     summary = {
-        "subcommand": "cgf",
         "regime": spec.regime,
         "per_n": [
             {"n": int(n), "sup_gap": float(g)} for n, g in zip(conv.n_values, conv.sup_gap)
         ],
         "verdicts": verdicts,
     }
-    return header, rows, summary, verdicts
+    return header, rows, summary
 
 
-def _cmd_simulate(cfg: ExperimentConfig):
-    exp = _build_experiment(cfg)
+def _cmd_simulate(cfg: ExperimentConfig, exp: DeviationExperiment):
     mode = cfg.resolved_mode()
-    if mode in ("ldp", "mdp"):
-        report = run_pointwise(exp, mode)
-    else:
+    if mode.startswith("uniform"):
         report = run_uniform(exp, bounded=(mode == "uniform_bounded"))
+    else:
+        report = run_pointwise(exp)
     header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "rate"]
-    rate_val = report.rate.value if report.rate.finite else math.inf
     rows = [
-        [r.n, r.speed, r.count, r.p_hat, r.censored, r.normalized_log, rate_val]
+        [r.n, r.speed, r.count, r.p_hat, r.censored, r.normalized_log, report.rate.value]
         for r in report.rows
     ]
-    verdicts = _verdict_dicts(report)
     summary = {
-        "subcommand": "simulate",
         "kind": report.kind,
         "delta": report.delta,
         "replications": report.replications,
-        "rate": rate_val,
+        "rate": report.rate.value,
         "sandwich": list(report.sandwich) if report.sandwich is not None else None,
         "per_n": _deviation_rows(report),
-        "verdicts": verdicts,
+        "verdicts": _verdict_dicts(report),
         "policy": {
             "final_gap_fraction": FINAL_GAP_FRACTION,
             "sandwich_slack_fraction": SANDWICH_SLACK_FRACTION,
         },
         "notes": list(report.notes),
     }
-    return header, rows, summary, verdicts
+    return header, rows, summary
 
 
-def _cmd_bias(cfg: ExperimentConfig):
-    exp = _build_experiment(cfg)
+def _cmd_bias(cfg: ExperimentConfig, exp: DeviationExperiment):
     report = run_bias_study(exp, q=cfg.q, m_q=cfg.m_q)
     # the columns are the BiasRow fields in order; sup_normalized needs a region
     header = ["n", "normalizer", "bias", "ratio"]
     if exp.region is not None:
         header.append("sup_normalized")
     rows = [list(dataclasses.astuple(r))[: len(header)] for r in report.bias_rows]
-    verdicts = _verdict_dicts(report)
     summary = {
-        "subcommand": "bias",
         "q": cfg.q,
         "bound": report.bias_bound,
         "per_n": [dataclasses.asdict(r) for r in report.bias_rows],
-        "verdicts": verdicts,
+        "verdicts": _verdict_dicts(report),
         "policy": {"ratio_change_tolerance": RATIO_CHANGE_TOLERANCE},
     }
-    return header, rows, summary, verdicts
+    return header, rows, summary
 
 
-def _cmd_chernoff(cfg: ExperimentConfig):
-    exp = _build_experiment(cfg)
+def _cmd_chernoff(cfg: ExperimentConfig, exp: DeviationExperiment):
     report = chernoff_upper_curve(exp)
     # the columns are the DeviationRow fields in order
     header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "chernoff_bound"]
     rows = [list(dataclasses.astuple(r)) for r in report.rows]
-    verdicts = _verdict_dicts(report)
     summary = {
-        "subcommand": "chernoff",
         "delta": report.delta,
         "replications": report.replications,
         "per_n": _deviation_rows(report),
-        "verdicts": verdicts,
+        "verdicts": _verdict_dicts(report),
         "policy": {"monte_carlo_sigmas": MONTE_CARLO_SIGMAS},
         "notes": list(report.notes),
     }
-    return header, rows, summary, verdicts
+    return header, rows, summary
 
 
 _COMMANDS = {
@@ -504,13 +477,14 @@ _COMMANDS = {
 
 
 def run(cfg: ExperimentConfig, subcommand: str, overrides: Optional[dict] = None) -> int:
-    """Validate, dispatch, write <out>/<subcommand>.{csv,json}, return exit code."""
-    violations = validate(cfg, subcommand)
+    """Check and build once, dispatch, write <out>/<subcommand>.{csv,json}, return exit code."""
+    violations, built = _check(cfg, subcommand)
     if violations:
         for v in violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    header, rows, summary, verdicts = _COMMANDS[subcommand](cfg)
+    header, rows, summary = _COMMANDS[subcommand](cfg, built)
+    summary["subcommand"] = subcommand
     summary["config"] = config_echo(cfg)
     summary["overrides"] = dict(overrides or {})
     os.makedirs(cfg.out, exist_ok=True)
@@ -518,6 +492,7 @@ def run(cfg: ExperimentConfig, subcommand: str, overrides: Optional[dict] = None
     json_path = os.path.join(cfg.out, f"{subcommand}.json")
     _write_csv(csv_path, header, rows)
     _write_json(json_path, summary)
+    verdicts = summary.get("verdicts", [])
     for v in verdicts:
         status = "PASS" if v["passed"] else "FAIL"
         print(f"verdict {v['name']}: {status} ({v['detail']})")

@@ -14,6 +14,8 @@ shared `kernels.scan_sup` search.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .kernels import MultiIndex, as_multi_index, as_points, hermite_phi, scan_sup
@@ -57,6 +59,12 @@ class Density:
         raise NotImplementedError
 
 
+@functools.lru_cache(maxsize=None)
+def _standard_gaussian_sup(order: int) -> float:
+    """sup_x |phi^(order)(x)| of the standard normal, scanned once per order."""
+    return scan_sup(lambda x: hermite_phi(order, x), -10.0, 10.0, 40001)
+
+
 class GaussianDensity(Density):
     """Product of independent normals with per-coordinate mean and sigma."""
 
@@ -91,9 +99,7 @@ class GaussianDensity(Density):
     def max_abs_derivative(self, order):
         if self.dimension != 1:
             raise ValueError("derivative sup is implemented for d = 1 only")
-        # scanned in standard units, then scaled by sigma^-(order + 1)
-        sup = scan_sup(lambda x: hermite_phi(order, x), -10.0, 10.0, 40001)
-        return sup / float(self.sigma[0]) ** (order + 1)
+        return _standard_gaussian_sup(order) / float(self.sigma[0]) ** (order + 1)
 
 
 class GaussianMixtureDensity(Density):

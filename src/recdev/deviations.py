@@ -27,8 +27,10 @@ the spec's up- and down-crossing rates (`CgfSpec.rate`) at density level
 f(x) for a point or sup_U f for a region, plus the moment-exponent sandwich
 [-g(delta), -(xi/(xi+d)) g(delta)] for unbounded regions.  Zero-count
 cells are censored at 1/R and flagged, never silently logged as -inf.
-Also here: the deterministic bias study (quadrature, no simulation) and
-the finite-n Chernoff upper curve evaluated at the optimal tilt.
+`CgfSpec.regime` alone decides which rate a pointwise run is measured
+against, so `run_pointwise` takes no mode.  Also here: the deterministic
+bias study (quadrature, no simulation) and the finite-n Chernoff upper
+curve evaluated at the optimal tilt on the rows of a pointwise run.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ class UnderpoweredExperimentError(RuntimeError):
     """Every cell of the experiment had zero exceedances."""
 
 
-@dataclass
+@dataclass(eq=False)
 class DeviationExperiment:
-    """One tail-probability experiment: model bundle, threshold, and budget."""
+    """One tail-probability experiment: model bundle, threshold, and budget; compared by identity."""
 
     spec: CgfSpec
     delta: float
@@ -236,33 +238,24 @@ def _two_sided_rate(exp: DeviationExperiment, level: float) -> RateValue:
     return min(rates, key=lambda r: r.value)
 
 
-def run_pointwise(exp: DeviationExperiment, mode: str) -> DeviationReport:
+def run_pointwise(exp: DeviationExperiment) -> DeviationReport:
     """Tail probabilities of v_n |d^alpha f_n(x) - d^alpha f(x)| at one point.
 
-    mode "ldp" is the plain unscaled density estimator; mode "mdp" the
-    scaled or derivative case; either must match the spec's regime.
+    The spec's regime fixes the report kind: "pointwise_ldp" for the plain
+    unscaled density estimator, "pointwise_mdp" for every scaled or
+    derivative case.
     """
     spec = exp.spec
-    if mode not in ("ldp", "mdp"):
-        raise ValueError("mode must be 'ldp' or 'mdp'")
-    if (mode == "ldp") != (spec.regime == "ldp"):
-        raise ValueError(
-            f"mode '{mode}' conflicts with the spec regime '{spec.regime}': "
-            "ldp needs the constant scaling and |alpha| = 0"
-        )
-    grid = spec.point.reshape(1, -1)
     rate = _two_sided_rate(exp, spec.density_at_point)
-    counts = _simulate_counts(exp, grid)
-    rows = _rows_from_counts(exp, counts)
-    verdicts = _tail_verdicts(rows, rate)
+    rows = _rows_from_counts(exp, _simulate_counts(exp, spec.point.reshape(1, -1)))
     return DeviationReport(
-        kind=f"pointwise_{mode}",
+        kind="pointwise_ldp" if spec.regime == "ldp" else "pointwise_mdp",
         delta=exp.delta,
         replications=exp.replications,
         rate=rate,
         sandwich=None,
         rows=rows,
-        verdicts=verdicts,
+        verdicts=_tail_verdicts(rows, rate),
     )
 
 
@@ -284,7 +277,7 @@ def run_uniform(exp: DeviationExperiment, bounded: bool = True) -> DeviationRepo
         raise ValueError("sup_density must be positive")
     rate = _two_sided_rate(exp, sup_density)
     lower = -rate.value
-    factor = 1.0 if bounded or exp.xi is None else exp.xi / (exp.xi + spec.kernel.dimension)
+    factor = 1.0 if bounded else exp.xi / (exp.xi + spec.kernel.dimension)
     upper = -factor * rate.value if rate.finite else -math.inf
     counts = _simulate_counts(exp, exp.region)
     rows = _rows_from_counts(exp, counts)
@@ -421,25 +414,25 @@ def chernoff_upper_curve(
     The two-sided bound sums exp(-b_n (u delta_side - L_n(u))) over the two
     crossing directions, with u the maximizer of the limiting curve and
     delta_side adjusted by the exact finite-n bias (the simulated statistic
-    is centred at the target, the cumulant at the mean).  `base` reuses
-    the rows of a previous run with the same seed and budget; otherwise
-    the simulation is rerun (bit-identical by construction).
+    is centred at the target, the cumulant at the mean).  The rows and the
+    rate come from `base`, a pointwise report of the same seed and budget,
+    or else from `run_pointwise(exp)`; a base of another kind, delta,
+    replication count or n_list raises ValueError.
     """
     spec = exp.spec
-    grid = spec.point.reshape(1, -1)
     fx = spec.density_at_point
     if fx <= 0:
         raise ValueError("the Chernoff curve needs f(x) > 0 at the experiment point")
-    if base is not None:
-        rows = base.rows
-        if tuple(r.n for r in rows) != tuple(exp.n_list):
-            raise ValueError("base report rows do not match the experiment n_list")
-    else:
-        rows = _rows_from_counts(exp, _simulate_counts(exp, grid))
-    target = spec.density.partial(spec.alpha.components, grid)[0]
+    if base is None:
+        base = run_pointwise(exp)
+    want = ("pointwise", exp.delta, exp.replications, exp.n_list)
+    got = (base.kind.split("_")[0], base.delta, base.replications, tuple(r.n for r in base.rows))
+    if got != want:
+        raise ValueError(f"base report has (kind, delta, replications, n_list) = {got}; needed {want}")
+    target = spec.density.partial(spec.alpha.components, spec.point.reshape(1, -1))[0]
     out_rows = []
     notes = []
-    for row in rows:
+    for row in base.rows:
         n = row.n
         v_n = spec.scaling.value(n)
         bias = spec.mean(n) - target
@@ -466,7 +459,7 @@ def chernoff_upper_curve(
         kind="chernoff",
         delta=exp.delta,
         replications=exp.replications,
-        rate=_two_sided_rate(exp, fx),
+        rate=base.rate,
         sandwich=None,
         rows=tuple(out_rows),
         verdicts=verdicts,

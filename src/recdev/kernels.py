@@ -230,7 +230,7 @@ _PROFILES = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class KernelModel:
     """A kernel on R^d plus the metadata the deviation theory needs.
 
@@ -243,7 +243,7 @@ class KernelModel:
     Built-in kernels carry the 1-d `profile` they are a product of: its
     `derivative(k, x)` (k = 0 is the value) and its constants in closed form.
     Kernels are even in each coordinate: psi folds its z rule onto (0, r)^d,
-    and `PsiEvaluator` checks.
+    and `PsiEvaluator` checks.  Kernels compare and hash by identity.
     """
 
     name: str
@@ -254,7 +254,7 @@ class KernelModel:
     negative_support_measure: float
     max_derivative_order: int
     profile: Optional[object] = None
-    _l2_cache: dict = field(default_factory=dict, repr=False)
+    _l2_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = as_count(self.dimension, "kernel dimension")

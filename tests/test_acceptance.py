@@ -245,7 +245,7 @@ def test_criterion_08_moderate_deviation_slope():
         replications=100_000,
         rng_seed=SEED,
     )
-    report = run_pointwise(exp, "mdp")
+    report = run_pointwise(exp)
     assert report.rate.value == pytest.approx(0.16172093894896455, rel=1e-12)
     chern = chernoff_upper_curve(exp, base=report)
     elapsed = time.perf_counter() - tic
@@ -285,7 +285,7 @@ def test_criterion_09_uniform_sandwich_and_singleton_collapse():
     final = uniform.rows[-1].normalized_log
     envelope_ok = uniform.all_passed and final <= -0.7 * g
     singleton = run_uniform(experiment(np.array([[0.0]])), bounded=True)
-    pointwise = run_pointwise(experiment(None), "mdp")
+    pointwise = run_pointwise(experiment(None))
     collapse_ok = singleton.rows == pointwise.rows
     ok = envelope_ok and collapse_ok
     detail = (

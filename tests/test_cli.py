@@ -482,3 +482,24 @@ def test_seed_and_flag_overrides_are_echoed(tmp_path):
     assert summary["overrides"] == {"bandwidth_c": 0.5, "seed": 9}
     assert summary["config"]["bandwidth_c"] == 0.5
     assert summary["config"]["seed"] == 9
+
+
+def test_simulate_builds_each_object_once(tmp_path, monkeypatch):
+    # validation builds the kernel, spec and experiment; the run reuses them
+    from recdev.cgf import CgfSpec
+    from recdev.deviations import DeviationExperiment
+    from recdev.kernels import KernelModel
+
+    built = []
+    for cls in (KernelModel, CgfSpec, DeviationExperiment):
+        def counted(self, _init=cls.__post_init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    path = _write_cfg(
+        tmp_path, bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,
+        delta=0.2, n_list=[50, 200], replications=200,
+    )
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) in (0, 1)
+    assert sorted(built) == ["CgfSpec", "DeviationExperiment", "KernelModel"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from recdev import densities
 from recdev.densities import (
     GaussianDensity,
     GaussianMixtureDensity,
@@ -178,3 +179,14 @@ def test_densities_compare_by_identity_and_hash():
     ):
         assert {f: 1}[f] == 1
         assert hash(f) == hash(f)
+
+
+def test_gaussian_derivative_sup_is_scanned_once_per_order(monkeypatch):
+    first = GaussianDensity(mean=[0.0], sigma=[0.7]).max_abs_derivative(4)
+
+    def no_scan(*args):
+        raise AssertionError("the sup of an order already scanned was scanned again")
+
+    monkeypatch.setattr(densities, "scan_sup", no_scan)
+    again = GaussianDensity(mean=[2.0], sigma=[0.7]).max_abs_derivative(4)
+    assert np.float64(again).tobytes() == np.float64(first).tobytes()

@@ -73,7 +73,7 @@ def _naive_counts(exp, grid):
 
 def test_counts_match_naive_resimulation_pointwise():
     exp = _exp(_spec(), delta=0.25, n_list=(20, 60), replications=25)
-    rep = run_pointwise(exp, "mdp")
+    rep = run_pointwise(exp)
     naive = _naive_counts(exp, exp.spec.point.reshape(1, -1))
     assert [r.count for r in rep.rows] == list(naive)
 
@@ -87,23 +87,23 @@ def test_counts_match_naive_resimulation_uniform():
 
 
 def test_reports_are_deterministic():
-    a = run_pointwise(_exp(_spec()), "mdp")
-    b = run_pointwise(_exp(_spec()), "mdp")
+    a = run_pointwise(_exp(_spec()))
+    b = run_pointwise(_exp(_spec()))
     assert a == b
 
 
 def test_counts_invariant_to_chunking(monkeypatch):
-    base = run_pointwise(_exp(_spec()), "mdp")
+    base = run_pointwise(_exp(_spec()))
     monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
-    small = run_pointwise(_exp(_spec()), "mdp")
+    small = run_pointwise(_exp(_spec()))
     assert [r.count for r in small.rows] == [r.count for r in base.rows]
 
 
 def test_counts_invariant_to_thread_count(monkeypatch):
     monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
-    base = run_pointwise(_exp(_spec()), "mdp")
+    base = run_pointwise(_exp(_spec()))
     monkeypatch.setenv("RECDEV_THREADS", "4")
-    threaded = run_pointwise(_exp(_spec()), "mdp")
+    threaded = run_pointwise(_exp(_spec()))
     assert threaded == base
 
 
@@ -128,7 +128,7 @@ def test_simulation_memory_stays_within_the_chunk_budget(c, delta, n_list, repli
 
 
 def test_singleton_region_matches_pointwise():
-    point_rep = run_pointwise(_exp(_spec()), "mdp")
+    point_rep = run_pointwise(_exp(_spec()))
     uni_rep = run_uniform(_exp(_spec(), region=np.array([[0.0]])), bounded=True)
     for rp, ru in zip(point_rep.rows, uni_rep.rows):
         assert rp == ru
@@ -136,15 +136,15 @@ def test_singleton_region_matches_pointwise():
 
 
 def test_counts_monotone_in_delta():
-    lo = run_pointwise(_exp(_spec(), delta=0.2), "mdp")
-    hi = run_pointwise(_exp(_spec(), delta=0.35), "mdp")
+    lo = run_pointwise(_exp(_spec(), delta=0.2))
+    hi = run_pointwise(_exp(_spec(), delta=0.35))
     for rl, rh in zip(lo.rows, hi.rows):
         assert rl.count >= rh.count
 
 
 def test_row_bookkeeping_contract():
     exp = _exp(_spec(), delta=0.2)
-    rep = run_pointwise(exp, "mdp")
+    rep = run_pointwise(exp)
     assert rep.kind == "pointwise_mdp"
     for row, n in zip(rep.rows, exp.n_list):
         assert row.n == n
@@ -158,7 +158,7 @@ def test_row_bookkeeping_contract():
 def test_censored_cell_is_flagged_not_minus_inf():
     # delta large enough that the long checkpoint never crosses
     exp = _exp(_spec(), delta=0.45, n_list=(30, 4000), replications=1500)
-    rep = run_pointwise(exp, "mdp")
+    rep = run_pointwise(exp)
     assert rep.rows[0].count > 0
     assert rep.rows[-1].count == 0
     assert rep.rows[-1].censored
@@ -168,17 +168,7 @@ def test_censored_cell_is_flagged_not_minus_inf():
 
 def test_all_zero_counts_raise_underpowered():
     with pytest.raises(UnderpoweredExperimentError):
-        run_pointwise(_exp(_spec(), delta=60.0, replications=50), "mdp")
-
-
-def test_mode_must_match_regime():
-    ldp_spec = _spec(scaling=ScalingSequence(kind="constant_one"))
-    with pytest.raises(ValueError):
-        run_pointwise(_exp(ldp_spec), "mdp")
-    with pytest.raises(ValueError):
-        run_pointwise(_exp(_spec()), "ldp")
-    with pytest.raises(ValueError):
-        run_pointwise(_exp(_spec()), "sup")
+        run_pointwise(_exp(_spec(), delta=60.0, replications=50))
 
 
 def test_experiment_validation():
@@ -209,7 +199,7 @@ def test_experiment_validation():
 def test_zero_density_point_gives_infinite_rate_and_no_tail_verdicts():
     box = UniformBoxDensity(low=[0.0], high=[1.0])
     spec = _spec(scaling=ScalingSequence(kind="constant_one"), c=0.7, density=box, point=2.0)
-    rep = run_pointwise(_exp(spec, delta=1e-3, n_list=(10, 20), replications=40), "ldp")
+    rep = run_pointwise(_exp(spec, delta=1e-3, n_list=(10, 20), replications=40))
     assert not rep.rate.finite
     assert rep.verdicts == ()
     assert rep.all_passed
@@ -221,7 +211,8 @@ def test_zero_density_point_gives_infinite_rate_and_no_tail_verdicts():
 )
 def test_pointwise_rate_is_the_smaller_one_sided_rate(scaling, mode):
     spec = _spec(scaling=scaling)
-    rep = run_pointwise(_exp(spec, delta=0.3), mode)
+    rep = run_pointwise(_exp(spec, delta=0.3))
+    assert rep.kind == f"pointwise_{mode}"
     fx = spec.density_at_point
     up, down = spec.rate(0.3, fx), spec.rate(-0.3, fx)
     assert rep.rate.finite
@@ -250,7 +241,7 @@ def test_uniform_sandwich_geometry():
 
 
 def test_pointwise_verdict_names():
-    rep = run_pointwise(_exp(_spec(), delta=0.2, replications=2000), "mdp")
+    rep = run_pointwise(_exp(_spec(), delta=0.2, replications=2000))
     assert [v.name for v in rep.verdicts] == [
         "gap_to_rate_decreasing",
         "final_within_30pct",
@@ -261,7 +252,7 @@ def test_pointwise_verdict_names():
 
 def test_chernoff_bound_dominates_and_reuses_base():
     exp = _exp(_spec(), delta=0.3, n_list=(100, 400), replications=2000)
-    base = run_pointwise(exp, "mdp")
+    base = run_pointwise(exp)
     chern = chernoff_upper_curve(exp, base=base)
     assert [r.count for r in chern.rows] == [r.count for r in base.rows]
     for row in chern.rows:
@@ -277,11 +268,16 @@ def test_chernoff_bound_dominates_and_reuses_base():
 
 
 def test_chernoff_base_nlist_mismatch_raises():
-    exp = _exp(_spec(), n_list=(100, 400), replications=200)
-    base = run_pointwise(exp, "mdp")
-    other = _exp(_spec(), n_list=(100, 800), replications=200)
-    with pytest.raises(ValueError):
-        chernoff_upper_curve(other, base=base)
+    # a base run at another delta or budget would be judged against this delta's bound
+    budget = dict(delta=0.2, n_list=(100, 400), replications=200)
+    base = run_pointwise(_exp(_spec(), **budget))
+    for other in (dict(n_list=(100, 800)), dict(delta=0.4), dict(replications=1000)):
+        with pytest.raises(ValueError, match="base report"):
+            chernoff_upper_curve(_exp(_spec(), **{**budget, **other}), base=base)
+    # the sup over a region is not the statistic the pointwise bound covers
+    exp = _exp(_spec(), region=np.array([[-0.5], [0.0], [0.5]]), **budget)
+    with pytest.raises(ValueError, match="base report"):
+        chernoff_upper_curve(exp, base=run_uniform(exp))
 
 
 def test_chernoff_bias_swallowed_threshold_is_trivial_bound():
@@ -314,3 +310,32 @@ def test_bias_study_without_region_skips_sup_column():
     rep = run_bias_study(_exp(spec, n_list=(2000, 20000)), q=2)
     assert all(row.sup_normalized is None for row in rep.bias_rows)
     assert [v.name for v in rep.verdicts] == ["bias_ratio_stable"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_specs_experiments_and_kernels_compare_by_identity(d):
+    def build():
+        kernel = builtin_kernel("gaussian", d)
+        spec = CgfSpec(
+            kernel=kernel,
+            schedule=BandwidthSchedule(kind="power", c=0.35, a=0.2),
+            scaling=ScalingSequence(kind="power", b=0.1),
+            density=GaussianDensity(mean=[0.0] * d, sigma=[1.0] * d),
+            point=[0.0] * d,
+        )
+        return kernel, spec, _exp(spec, region=np.zeros((3, d)))
+
+    ones, twins = build(), build()
+
+    def check():
+        for x, twin in zip(ones, twins):
+            assert x == x and not x != x
+            assert x != twin
+            assert {x: 1, twin: 2}[x] == 1
+
+    check()
+    kernel, spec, _ = ones
+    spec.psi()
+    spec.mean(3)
+    kernel.l2_norm_sq()
+    check()
