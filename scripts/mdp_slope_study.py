@@ -11,8 +11,6 @@ Example:
 
 import argparse
 
-import numpy as np
-
 from recdev import (
     BandwidthSchedule,
     CgfSpec,

@@ -11,6 +11,9 @@ chernoff   empirical tails against the finite-n Chernoff upper curve
 
 One flat JSON document configures every subcommand; command line flags
 override single fields, and the overrides are echoed into the JSON summary.
+Every subcommand builds the model fields (kernel, bandwidth, scaling,
+density, point, alpha); of the run fields, only those a subcommand reads
+can refuse or switch it.
 CSV output uses '.' decimals and literal "inf"/"-inf" for infinite rates so
 files diff cleanly across platforms.  The JSON summary carries {config,
 per_n, verdicts} plus the tolerance policy in force; output paths are kept
@@ -48,6 +51,7 @@ from .deviations import (
     DeviationExperiment,
     UnderpoweredExperimentError,
     chernoff_upper_curve,
+    region_grid,
     run_bias_study,
     run_pointwise,
     run_uniform,
@@ -86,7 +90,7 @@ class ExperimentConfig:
     replications: int = 10000
     seed: int = 0
     xi: Optional[float] = None
-    mode: Optional[str] = None  # inferred from scaling/region when absent
+    mode: Optional[str] = None  # simulate only: when given, must name the run_kind()
     u_values: list = field(default_factory=lambda: [1.0])
     t_grid: str = "0:3:0.1"
     q: int = 2
@@ -97,9 +101,8 @@ class ExperimentConfig:
         """"ldp" for the plain unscaled estimator, else "mdp"."""
         return "ldp" if self.scaling_kind == "constant_one" and sum(self.alpha) == 0 else "mdp"
 
-    def resolved_mode(self) -> str:
-        if self.mode is not None:
-            return self.mode
+    def run_kind(self) -> str:
+        """The run simulate makes, from region, xi and the regime; mode never switches it."""
         if self.region is not None:
             return "uniform_unbounded" if self.xi is not None else "uniform_bounded"
         return self.regime()
@@ -172,9 +175,7 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
         pts = pts.reshape(-1, 1) if cfg.dimension == 1 else pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[-1] != cfg.dimension:
         raise ValueError(f"region points must have {cfg.dimension} coordinates each")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"region points must be finite; got {pts.tolist()}")
-    return pts
+    return region_grid(pts, cfg.dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -187,29 +188,35 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
     """Pure check of a config against what a subcommand relies on.
 
     Returns the list of violations; an empty list means the run may
-    proceed.  Each step runs only if the ones before it found nothing:
-    (1) the fields no library object owns (mode, q, m_q, and n_list and
-    seed where no experiment holds them), then building the kernel with its alpha
+    proceed.  A subcommand is refused only by the model fields and by the
+    run fields it reads.  Each step runs only if the ones before it found
+    nothing: (1) the run fields no library object owns where the subcommand
+    reads them (simulate's mode, q, bias's m_q, and n_list and seed where no
+    experiment holds them), then building the kernel with its alpha
     derivative, the two sequences and the density; (2) the hypotheses
-    H2-H10, each citing its tag; (3) building the `CgfSpec` (and for simulate,
-    bias and chernoff the `DeviationExperiment`) from step 1's objects, which
-    `run` then hands to the subcommand.  A constructor's message is reported
-    untagged, first fault only.
+    H2-H10, each citing its tag, and for simulate an explicit mode against
+    the run its fields select; (3) building the `CgfSpec` from step 1's
+    objects and parsing the grid the subcommand reads (the region for
+    estimate, simulate and bias, the t grid for rate), with simulate and
+    chernoff wrapping them in a `DeviationExperiment`; `run` hands these to
+    the subcommand.  A constructor's message is reported untagged, first
+    fault only.
     """
     return _check(cfg, subcommand)[0]
 
 
 def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
-    """`validate`'s steps; returns (violations, the object the body runs on, or None)."""
+    """`validate`'s steps; returns (violations, the arguments the body takes after cfg, or None)."""
     bad: list = []
-    if cfg.mode is not None and cfg.mode not in _MODES:
+    simulate = subcommand == "simulate"
+    if simulate and cfg.mode is not None and cfg.mode not in _MODES:
         bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
     if subcommand == "bias" and cfg.m_q is not None and not cfg.m_q > 0:
         bad.append(f"m_q must be positive when given; got {cfg.m_q}")
     try:
         if subcommand in ("cgf", "simulate", "bias", "chernoff"):  # H7 reads q
             as_count(cfg.q, "q", 2)
-        if subcommand in ("estimate", "cgf"):
+        if subcommand in ("estimate", "cgf", "bias"):
             sample_sizes(cfg.n_list)
         if subcommand == "estimate":  # the other sampling subcommands build an experiment
             as_seed(cfg.seed)
@@ -225,7 +232,7 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
 
     a, b, q = cfg.bandwidth_a, cfg.scaling_b, cfg.q
     k = cfg.dimension + 2 * sum(cfg.alpha)
-    mode = cfg.resolved_mode()
+    kind = cfg.run_kind()
     needs_theory = subcommand in ("rate", "cgf", "simulate", "chernoff")
 
     if needs_theory:
@@ -233,9 +240,9 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             bad.append(f"(H3): a must be positive so the bandwidth shrinks; got a={a:g}")
         elif a * k >= 1:
             bad.append(f"(H3): a < 1/(d+2|alpha|)=1/{k}; got a={a:g}")
-    if needs_theory and mode == "ldp" and cfg.bandwidth_kind != "power":
+    if needs_theory and cfg.regime() == "ldp" and cfg.bandwidth_kind != "power":
         bad.append("(H2): LDP density case requires h_n=cn^{-a}")
-    uniform = subcommand == "simulate" and mode.startswith("uniform")
+    uniform = simulate and cfg.region is not None
     if subcommand in ("cgf", "simulate", "chernoff") and cfg.scaling_kind == "power":
         bound = (1 - a * k) / 2
         if not b < bound:
@@ -243,34 +250,37 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             bad.append(f"{tag}: b must be < (1-a(d+2|alpha|))/2 = {bound:g}{case}; got b={b:g}")
         if not b < a * q:
             bad.append(f"(H7)ii): b must be < a*q = {a * q:g}; got b={b:g}")
-    if uniform:
-        if cfg.region is None:
+    if simulate and cfg.mode not in (None, kind):
+        if cfg.region is None and cfg.mode.startswith("uniform"):
             bad.append("uniform mode needs a region grid")
-        if mode == "uniform_unbounded" and cfg.xi is None:
+        elif cfg.mode == "uniform_unbounded":
             bad.append("(H8)i): unbounded mode needs the moment exponent xi")
+        else:
+            bad.append(
+                f"mode '{cfg.mode}' conflicts with region, xi, scaling_kind='{cfg.scaling_kind}' "
+                f"and |alpha|={sum(cfg.alpha)}, which select '{kind}'"
+            )
     if subcommand == "bias" and q % 2 != 0:
         bad.append(f"(H7)i): builtin kernels have nonzero even moments below odd q; use even q, got q={q}")
-    if needs_theory and cfg.mode is not None:
-        if mode in ("ldp", "mdp") and mode != cfg.regime():
-            bad.append(
-                f"mode '{mode}' conflicts with scaling_kind='{cfg.scaling_kind}' "
-                f"and |alpha|={sum(cfg.alpha)}"
-            )
     if bad:
         return bad, None
     try:
-        built = CgfSpec(kernel=kernel, schedule=schedule, scaling=scaling, density=density,
-                        point=cfg.point, alpha=cfg.alpha or None)
-        region = region_points(cfg)
-        if subcommand in ("simulate", "bias", "chernoff"):
-            built = DeviationExperiment(spec=built, delta=cfg.delta, n_list=cfg.n_list,
-                                        replications=cfg.replications, rng_seed=cfg.seed,
-                                        region=region, xi=cfg.xi)
+        spec = CgfSpec(kernel=kernel, schedule=schedule, scaling=scaling, density=density,
+                       point=cfg.point, alpha=cfg.alpha or None)
         if subcommand == "rate":
-            parse_range(cfg.t_grid)
+            args = (spec, parse_range(cfg.t_grid))
+        elif subcommand == "cgf":
+            args = (spec,)
+        elif subcommand in ("estimate", "bias"):
+            args = (spec, region_points(cfg))
+        else:  # simulate and chernoff; chernoff reads no region or xi
+            region, xi = (region_points(cfg), cfg.xi) if simulate else (None, None)
+            args = (DeviationExperiment(spec=spec, delta=cfg.delta, n_list=cfg.n_list,
+                                        replications=cfg.replications, rng_seed=cfg.seed,
+                                        region=region, xi=xi),)
     except (TypeError, ValueError) as exc:
         return [str(exc)], None
-    return [], built
+    return [], args
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +348,11 @@ def _verdict_dicts(report) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each runs on the CgfSpec or DeviationExperiment that
-# `_check` built and returns (csv_header, csv_rows, summary).
+# Subcommand bodies.  Each runs on the CgfSpec or DeviationExperiment and
+# the parsed grid that `_check` built and returns (csv_header, csv_rows, summary).
 
 
-def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec):
-    grid = region_points(cfg)
+def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec, grid: Optional[np.ndarray]):
     if grid is None:
         grid = spec.point.reshape(1, -1)
     n = int(cfg.n_list[-1])
@@ -364,9 +373,8 @@ def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec):
     return header, rows, summary
 
 
-def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec):
+def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec, ts: np.ndarray):
     psi = spec.psi()
-    ts = parse_range(cfg.t_grid)
     values = [psi.legendre(float(t)) for t in ts]
     header = ["t", "rate"]
     rows = [[float(t), rv.value] for t, rv in zip(ts, values)]
@@ -406,11 +414,7 @@ def _cmd_cgf(cfg: ExperimentConfig, spec: CgfSpec):
 
 
 def _cmd_simulate(cfg: ExperimentConfig, exp: DeviationExperiment):
-    mode = cfg.resolved_mode()
-    if mode.startswith("uniform"):
-        report = run_uniform(exp, bounded=(mode == "uniform_bounded"))
-    else:
-        report = run_pointwise(exp)
+    report = run_pointwise(exp) if exp.region is None else run_uniform(exp)
     header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "rate"]
     rows = [
         [r.n, r.speed, r.count, r.p_hat, r.censored, r.normalized_log, report.rate.value]
@@ -433,11 +437,11 @@ def _cmd_simulate(cfg: ExperimentConfig, exp: DeviationExperiment):
     return header, rows, summary
 
 
-def _cmd_bias(cfg: ExperimentConfig, exp: DeviationExperiment):
-    report = run_bias_study(exp, q=cfg.q, m_q=cfg.m_q)
+def _cmd_bias(cfg: ExperimentConfig, spec: CgfSpec, region: Optional[np.ndarray]):
+    report = run_bias_study(spec, cfg.n_list, region, q=cfg.q, m_q=cfg.m_q)
     # the columns are the BiasRow fields in order; sup_normalized needs a region
     header = ["n", "normalizer", "bias", "ratio"]
-    if exp.region is not None:
+    if region is not None:
         header.append("sup_normalized")
     rows = [list(dataclasses.astuple(r))[: len(header)] for r in report.bias_rows]
     summary = {
@@ -478,12 +482,12 @@ _COMMANDS = {
 
 def run(cfg: ExperimentConfig, subcommand: str, overrides: Optional[dict] = None) -> int:
     """Check and build once, dispatch, write <out>/<subcommand>.{csv,json}, return exit code."""
-    violations, built = _check(cfg, subcommand)
+    violations, args = _check(cfg, subcommand)
     if violations:
         for v in violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    header, rows, summary = _COMMANDS[subcommand](cfg, built)
+    header, rows, summary = _COMMANDS[subcommand](cfg, *args)
     summary["subcommand"] = subcommand
     summary["config"] = config_echo(cfg)
     summary["overrides"] = dict(overrides or {})

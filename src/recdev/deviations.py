@@ -27,10 +27,12 @@ the spec's up- and down-crossing rates (`CgfSpec.rate`) at density level
 f(x) for a point or sup_U f for a region, plus the moment-exponent sandwich
 [-g(delta), -(xi/(xi+d)) g(delta)] for unbounded regions.  Zero-count
 cells are censored at 1/R and flagged, never silently logged as -inf.
-`CgfSpec.regime` alone decides which rate a pointwise run is measured
-against, so `run_pointwise` takes no mode.  Also here: the deterministic
-bias study (quadrature, no simulation) and the finite-n Chernoff upper
-curve evaluated at the optimal tilt on the rows of a pointwise run.
+Each run reads only its inputs, so none takes a mode: `CgfSpec.regime`
+decides which rate a pointwise run is measured against, and a uniform run's
+sandwich is unbounded exactly when the experiment carries xi.  Also here:
+the deterministic bias study, which takes the spec, the sample sizes and an
+optional region and draws nothing, and the finite-n Chernoff upper curve
+evaluated at the optimal tilt on the rows of a pointwise run.
 """
 
 from __future__ import annotations
@@ -65,6 +67,14 @@ class UnderpoweredExperimentError(RuntimeError):
     """Every cell of the experiment had zero exceedances."""
 
 
+def region_grid(region, d: int) -> np.ndarray:
+    """The (m, d) grid for U; refuses an empty or non-finite one."""
+    grid, _ = as_points(region, d)
+    if len(grid) == 0 or not np.all(np.isfinite(grid)):
+        raise ValueError(f"region grid must hold at least one point, all finite; got {grid.tolist()}")
+    return grid
+
+
 @dataclass(eq=False)
 class DeviationExperiment:
     """One tail-probability experiment: model bundle, threshold, and budget; compared by identity."""
@@ -84,9 +94,7 @@ class DeviationExperiment:
             raise ValueError(f"delta must be finite and > 0; got {self.delta}")
         self.n_list = sample_sizes(self.n_list)
         if self.region is not None:
-            self.region, _ = as_points(self.region, self.spec.kernel.dimension)
-            if len(self.region) == 0:
-                raise ValueError("region grid must hold at least one point")
+            self.region = region_grid(self.region, self.spec.kernel.dimension)
         if self.xi is not None and not (math.isfinite(self.xi) and self.xi > 0):
             raise ValueError(f"xi must be finite and > 0; got {self.xi}")
 
@@ -259,25 +267,22 @@ def run_pointwise(exp: DeviationExperiment) -> DeviationReport:
     )
 
 
-def run_uniform(exp: DeviationExperiment, bounded: bool = True) -> DeviationReport:
+def run_uniform(exp: DeviationExperiment) -> DeviationReport:
     """Tail probabilities of the sup over the region grid, with the sandwich.
 
-    The sup-norm of f over U is taken on the supplied grid.  For bounded
-    regions (and for densities with all moments finite) the reference is
-    -g(delta) itself; otherwise the upper member is -(xi/(xi+d)) g(delta)
-    from the supplied moment exponent.
+    The sup-norm of f over U is taken on the supplied grid.  Without a
+    moment exponent the region is taken as bounded and the reference is
+    -g(delta) itself; with `exp.xi` the upper member is -(xi/(xi+d)) g(delta).
     """
     spec = exp.spec
     if exp.region is None:
         raise ValueError("uniform mode needs a region grid")
-    if not bounded and exp.xi is None:
-        raise ValueError("unbounded mode needs the moment exponent xi")
     sup_density = float(np.max(spec.density.pdf(exp.region)))
     if sup_density <= 0:
         raise ValueError("sup_density must be positive")
     rate = _two_sided_rate(exp, sup_density)
     lower = -rate.value
-    factor = 1.0 if bounded else exp.xi / (exp.xi + spec.kernel.dimension)
+    factor = 1.0 if exp.xi is None else exp.xi / (exp.xi + spec.kernel.dimension)
     upper = -factor * rate.value if rate.finite else -math.inf
     counts = _simulate_counts(exp, exp.region)
     rows = _rows_from_counts(exp, counts)
@@ -298,7 +303,7 @@ def run_uniform(exp: DeviationExperiment, bounded: bool = True) -> DeviationRepo
             ),
         )
     return DeviationReport(
-        kind="uniform_bounded" if bounded else "uniform_unbounded",
+        kind="uniform_bounded" if exp.xi is None else "uniform_unbounded",
         delta=exp.delta,
         replications=exp.replications,
         rate=rate,
@@ -344,31 +349,36 @@ def _tail_verdicts(rows: tuple, rate: RateValue) -> tuple:
     return tuple(out)
 
 
-def run_bias_study(exp: DeviationExperiment, q: int = 2, m_q: Optional[float] = None) -> DeviationReport:
+def run_bias_study(
+    spec: CgfSpec, n_list, region=None, q: int = 2, m_q: Optional[float] = None
+) -> DeviationReport:
     """Deterministic bias table: ratio to (1/n) sum h_i^q and the sup bound.
 
-    m_q bounds the q-th derivatives of the target d^alpha f; if omitted it
-    is computed from the density (one-dimensional densities only).  With a
-    region grid the normalized sup over the grid is checked against the
-    bound, which holds at every n, not just in the limit.
+    n_list must be strictly increasing sample sizes.  m_q bounds the q-th
+    derivatives of the target d^alpha f; if omitted it is computed from the
+    density (one-dimensional densities only).  With a region grid the
+    normalized sup over the grid is checked against the bound, which holds
+    at every n, not just in the limit.
     """
-    spec = exp.spec
+    n_list = sample_sizes(n_list)
+    if region is not None:
+        region = region_grid(region, spec.kernel.dimension)
     kernel, schedule, density = spec.kernel, spec.schedule, spec.density
     if m_q is None:
         m_q = density.max_abs_derivative(spec.alpha.order + q)
     bound = bias_sup_bound(kernel, q, m_q)
     # the point stacked onto the region: one mean call per n
     pts = spec.point.reshape(1, -1)
-    if exp.region is not None:
-        pts = np.vstack([pts, exp.region])
+    if region is not None:
+        pts = np.vstack([pts, region])
     targets = density.partial(spec.alpha.components, pts)
     rows = []
-    for n in exp.n_list:
+    for n in n_list:
         norm = bias_normalizer(schedule, q, n)
         gaps = expected_estimate(kernel, schedule, density, n, pts, alpha=spec.alpha.components) - targets
         b = gaps[0]
         sup_norm = None
-        if exp.region is not None:
+        if region is not None:
             sup_norm = float(np.max(np.abs(gaps[1:]))) / norm
         rows.append(
             BiasRow(n=int(n), normalizer=norm, bias=float(b), ratio=float(b) / norm, sup_normalized=sup_norm)
@@ -385,7 +395,7 @@ def run_bias_study(exp: DeviationExperiment, q: int = 2, m_q: Optional[float] = 
                 f"ratio moved {change:.3%} between n={rows[-2].n} and n={rows[-1].n}",
             )
         )
-    if exp.region is not None:
+    if region is not None:
         worst = max(r.sup_normalized for r in rows)
         verdicts.append(
             Verdict(

@@ -213,15 +213,8 @@ def test_criterion_07_bias_ratio_and_sup_bound():
         density=GaussianDensity(mean=[0.0], sigma=[1.0]),
         point=[0.0],
     )
-    exp = DeviationExperiment(
-        spec=spec,
-        delta=0.2,
-        n_list=(50_000, 100_000),
-        replications=1,
-        rng_seed=SEED,
-        region=np.arange(-1.0, 1.001, 0.25).reshape(-1, 1),
-    )
-    report = run_bias_study(exp, q=2)
+    region = np.arange(-1.0, 1.001, 0.25).reshape(-1, 1)
+    report = run_bias_study(spec, (50_000, 100_000), region, q=2)
     elapsed = time.perf_counter() - tic
     ok = report.all_passed
     detail = "; ".join(v.detail for v in report.verdicts) + f", {elapsed:.1f}s"
@@ -280,11 +273,11 @@ def test_criterion_09_uniform_sandwich_and_singleton_collapse():
             region=region,
         )
 
-    uniform = run_uniform(experiment(np.arange(-1.0, 1.001, 0.25).reshape(-1, 1)), bounded=True)
+    uniform = run_uniform(experiment(np.arange(-1.0, 1.001, 0.25).reshape(-1, 1)))
     g = uniform.rate.value
     final = uniform.rows[-1].normalized_log
     envelope_ok = uniform.all_passed and final <= -0.7 * g
-    singleton = run_uniform(experiment(np.array([[0.0]])), bounded=True)
+    singleton = run_uniform(experiment(np.array([[0.0]])))
     pointwise = run_pointwise(experiment(None))
     collapse_ok = singleton.rows == pointwise.rows
     ok = envelope_ok and collapse_ok

@@ -105,15 +105,19 @@ def test_region_points_shapes():
     assert flat.shape == (3, 1)
     with pytest.raises(ValueError):
         region_points(ExperimentConfig(dimension=2, region=[[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="at least one point"):
+        region_points(ExperimentConfig(region=[]))
 
 
-def test_resolved_mode_inference():
-    assert ExperimentConfig().resolved_mode() == "ldp"
-    assert ExperimentConfig(scaling_kind="power", scaling_b=0.1).resolved_mode() == "mdp"
-    assert ExperimentConfig(alpha=[1]).resolved_mode() == "mdp"
-    assert ExperimentConfig(region="0:1:0.5").resolved_mode() == "uniform_bounded"
-    assert ExperimentConfig(region="0:1:0.5", xi=2.0).resolved_mode() == "uniform_unbounded"
-    assert ExperimentConfig(mode="mdp", scaling_kind="power", scaling_b=0.1).resolved_mode() == "mdp"
+def test_run_kind_inference():
+    assert ExperimentConfig().run_kind() == "ldp"
+    assert ExperimentConfig(scaling_kind="power", scaling_b=0.1).run_kind() == "mdp"
+    assert ExperimentConfig(alpha=[1]).run_kind() == "mdp"
+    assert ExperimentConfig(region="0:1:0.5").run_kind() == "uniform_bounded"
+    assert ExperimentConfig(region="0:1:0.5", xi=2.0).run_kind() == "uniform_unbounded"
+    assert ExperimentConfig(mode="mdp", scaling_kind="power", scaling_b=0.1).run_kind() == "mdp"
+    # an explicit mode is checked against the run, never switches it
+    assert ExperimentConfig(mode="ldp", region="0:1:0.5").run_kind() == "uniform_bounded"
 
 
 # --- hypothesis validation ---------------------------------------------------
@@ -176,6 +180,11 @@ def test_validate_structural_errors():
         assert msgs == [f"q must be an integer >= 2; got {q!r}"]
     msgs = validate(ExperimentConfig(mode="mdp"), "simulate")
     assert any("conflicts" in m for m in msgs)
+    # a mode only names the run the fields select; it never drops one
+    msgs = validate(ExperimentConfig(mode="ldp", region="0:1:0.5"), "simulate")
+    assert any("mode 'ldp' conflicts" in m and "select 'uniform_bounded'" in m for m in msgs)
+    msgs = validate(ExperimentConfig(mode="uniform_bounded", region="0:1:0.5", xi=2.0), "simulate")
+    assert any("select 'uniform_unbounded'" in m for m in msgs)
     msgs = validate(
         ExperimentConfig(region="0:1:0.5", scaling_kind="power", scaling_b=0.34,
                          bandwidth_a=0.4),
@@ -368,6 +377,8 @@ _STRUCTURAL_FAULTS = [
     ("simulate", dict(dimension=2, point=[0.0, 0.0])),
     ("estimate", dict(point=[0.0, 0.0])),
     ("simulate", dict(mode="fast")),
+    ("simulate", dict(mode="mdp", region="0:1:0.5", scaling_kind="power", scaling_b=0.1)),
+    ("simulate", dict(mode="uniform_bounded", region="0:1:0.5", xi=2.0)),
     *[(sub, dict(n_list=ns)) for sub in _N_LIST_SUBCOMMANDS
       for ns in ([], [100, 50], [10.0, 20])],
     ("simulate", dict(delta=0.0)),
@@ -404,6 +415,8 @@ _STRUCTURAL_FAULTS = [
     ("estimate", dict(density="uniform_box", density_low=[-math.inf], density_high=[1.0])),
     ("estimate", dict(density="uniform_box", density_low=[0.0], density_high=[math.nan])),
     ("estimate", dict(region=[[math.nan]])),
+    ("estimate", dict(region=[])),
+    ("bias", dict(region=[])),
     ("simulate", dict(region=[[0.0], [math.inf]])),
     # density parameters the family does not name
     ("estimate", dict(density_maen=[3.0])),
@@ -421,6 +434,51 @@ def test_each_structural_fault_exits_two(tmp_path, capsys, sub, fields):
     rc = cli.main([sub, "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err
+    assert not (tmp_path / "o" / f"{sub}.csv").exists()
+
+
+# A field a subcommand does not read neither refuses it nor changes its CSV.
+_UNREAD_BASE = {
+    "bias": dict(bandwidth_c=0.7, n_list=[1000, 4000], region="-1:1:1.0"),
+    "rate": dict(bandwidth_a=0.25, t_grid="0:2:0.5"),
+    "cgf": dict(bandwidth_c=0.3, n_list=[100, 1000], u_values=[0.5, 1.0]),
+    "chernoff": dict(bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,
+                     delta=0.3, n_list=[50, 200], replications=300, seed=3),
+}
+_UNREAD_FIELDS = [
+    ("bias", dict(delta=0.0)),
+    ("bias", dict(replications=0)),
+    ("bias", dict(seed=-1)),
+    ("bias", dict(xi=-1.0)),
+    ("rate", dict(region="0:1")),
+    ("cgf", dict(region="0:1")),
+    ("chernoff", dict(region=[[math.nan]])),
+    ("chernoff", dict(xi=-1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "sub,fields", _UNREAD_FIELDS,
+    ids=[f"{sub}-{'-'.join(f'{k}={v}' for k, v in fields.items())}"
+         for sub, fields in _UNREAD_FIELDS],
+)
+def test_unread_field_neither_refuses_nor_changes_output(tmp_path, sub, fields):
+    base = _UNREAD_BASE[sub]
+    plain = _write_cfg(tmp_path, "plain.json", **base)
+    extra = _write_cfg(tmp_path, "extra.json", **{**base, **fields})
+    assert cli.main([sub, "--config", plain, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([sub, "--config", extra, "--out", str(tmp_path / "b")]) == 0
+    csv = f"{sub}.csv"
+    assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
+@pytest.mark.parametrize("sub", ["cgf", "chernoff"])
+def test_h2_follows_the_regime_not_the_region(tmp_path, capsys, sub):
+    # the ldp rate reads h_n = cn^{-a} whether or not a region is present
+    path = _write_cfg(tmp_path, bandwidth_kind="power_log", region="0:1:0.5")
+    rc = cli.main([sub, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error: (H2): LDP density case requires h_n=cn^{-a}" in capsys.readouterr().err
     assert not (tmp_path / "o" / f"{sub}.csv").exists()
 
 

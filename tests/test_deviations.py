@@ -81,7 +81,7 @@ def test_counts_match_naive_resimulation_pointwise():
 def test_counts_match_naive_resimulation_uniform():
     grid = np.array([[-0.4], [0.0], [0.4]])
     exp = _exp(_spec(), delta=0.25, n_list=(20, 60), replications=25, region=grid)
-    rep = run_uniform(exp, bounded=True)
+    rep = run_uniform(exp)
     naive = _naive_counts(exp, exp.region)
     assert [r.count for r in rep.rows] == list(naive)
 
@@ -129,7 +129,7 @@ def test_simulation_memory_stays_within_the_chunk_budget(c, delta, n_list, repli
 
 def test_singleton_region_matches_pointwise():
     point_rep = run_pointwise(_exp(_spec()))
-    uni_rep = run_uniform(_exp(_spec(), region=np.array([[0.0]])), bounded=True)
+    uni_rep = run_uniform(_exp(_spec(), region=np.array([[0.0]])))
     for rp, ru in zip(point_rep.rows, uni_rep.rows):
         assert rp == ru
     assert uni_rep.rate.value == point_rep.rate.value
@@ -191,9 +191,7 @@ def test_experiment_validation():
     with pytest.raises(ValueError):
         _exp(_spec(), xi=-1.0)
     with pytest.raises(ValueError):
-        run_uniform(_exp(_spec()), bounded=True)  # no region grid
-    with pytest.raises(ValueError):
-        run_uniform(_exp(_spec(), region=np.array([[0.0]])), bounded=False)  # no xi
+        run_uniform(_exp(_spec()))  # no region grid
 
 
 def test_zero_density_point_gives_infinite_rate_and_no_tail_verdicts():
@@ -221,13 +219,12 @@ def test_pointwise_rate_is_the_smaller_one_sided_rate(scaling, mode):
 
 def test_uniform_sandwich_geometry():
     grid = np.array([[-0.5], [0.0], [0.5]])
-    exp = _exp(
-        _spec(c=0.3), delta=0.25, n_list=(100, 400), replications=800, region=grid, xi=2.0
-    )
-    bounded = run_uniform(exp, bounded=True)
-    unbounded = run_uniform(exp, bounded=False)
+    budget = dict(delta=0.25, n_list=(100, 400), replications=800, region=grid)
+    bounded = run_uniform(_exp(_spec(c=0.3), xi=None, **budget))
+    unbounded = run_uniform(_exp(_spec(c=0.3), xi=2.0, **budget))
     g = bounded.rate.value
     assert g > 0
+    assert bounded.kind == "uniform_bounded"
     assert bounded.sandwich == (-g, -g)
     lo, up = unbounded.sandwich
     assert lo == -g
@@ -292,8 +289,7 @@ def test_chernoff_bias_swallowed_threshold_is_trivial_bound():
 def test_bias_study_ratio_and_bound():
     spec = _spec(scaling=ScalingSequence(kind="constant_one"), c=0.7)
     region = np.array([[-1.0], [0.0], [1.0]])
-    exp = _exp(spec, n_list=(2000, 20000), region=region)
-    rep = run_bias_study(exp, q=2)
+    rep = run_bias_study(spec, (2000, 20000), region, q=2)
     assert rep.kind == "bias"
     assert len(rep.bias_rows) == 2
     lim = -1.0 / (2.0 * math.sqrt(2.0 * math.pi))
@@ -307,9 +303,23 @@ def test_bias_study_ratio_and_bound():
 
 def test_bias_study_without_region_skips_sup_column():
     spec = _spec(scaling=ScalingSequence(kind="constant_one"), c=0.7)
-    rep = run_bias_study(_exp(spec, n_list=(2000, 20000)), q=2)
+    rep = run_bias_study(spec, (2000, 20000), q=2)
     assert all(row.sup_normalized is None for row in rep.bias_rows)
     assert [v.name for v in rep.verdicts] == ["bias_ratio_stable"]
+
+
+def test_bias_study_validates_its_own_inputs():
+    # the table reads only the spec, the sample sizes and the region
+    spec = _spec(scaling=ScalingSequence(kind="constant_one"), c=0.7)
+    for n_list in ((200, 100), (100, 100), (), (10.0, 20)):
+        with pytest.raises(ValueError, match="n_list"):
+            run_bias_study(spec, n_list)
+    for region in (np.zeros((0, 1)), [], [[math.nan]], [[0.0], [math.inf]]):
+        with pytest.raises(ValueError, match="region"):
+            run_bias_study(spec, (100, 200), region)
+    rep = run_bias_study(spec, np.array([100, 200]), [0.0, 1.0])
+    assert [r.n for r in rep.bias_rows] == [100, 200]
+    assert all(r.sup_normalized is not None for r in rep.bias_rows)
 
 
 @pytest.mark.parametrize("d", [1, 2])
