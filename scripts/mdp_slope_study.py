@@ -10,6 +10,7 @@ Example:
 """
 
 import argparse
+import math
 
 from recdev import (
     BandwidthSchedule,
@@ -17,6 +18,7 @@ from recdev import (
     DeviationExperiment,
     GaussianDensity,
     ScalingSequence,
+    UnderpoweredExperimentError,
     builtin_kernel,
     chernoff_upper_curve,
     run_pointwise,
@@ -59,7 +61,16 @@ def main(argv=None) -> int:
             replications=args.replications,
             rng_seed=args.seed,
         )
-        report = run_pointwise(exp)
+        try:
+            report = run_pointwise(exp)
+        except UnderpoweredExperimentError:
+            # no exceedance at any n: every row is censored at p_hat = 1/R
+            p_hat = 1.0 / args.replications
+            for n in n_list:
+                log_p = math.log(p_hat) / spec.speed(n)
+                print(f"{delta:7.3f} {n:7d} {0:7d} {p_hat:10.3g}*{log_p:10.4f} {'-':>9} {'-':>10}")
+            worst_gap[delta] = None
+            continue
         chern = chernoff_upper_curve(exp, base=report)
         for row, crow in zip(report.rows, chern.rows):
             flag = "*" if row.censored else " "
@@ -73,7 +84,10 @@ def main(argv=None) -> int:
             print(f"  {v.name}: {'PASS' if v.passed else 'FAIL'}")
     print()
     for delta, gap in worst_gap.items():
-        print(f"delta={delta:g}: final gap to the rate {gap:.4f}")
+        if gap is None:
+            print(f"delta={delta:g}: no exceedance at any n; raise --replications")
+        else:
+            print(f"delta={delta:g}: final gap to the rate {gap:.4f}")
     print("(* = zero exceedances, tail censored at 1/R)")
     return 0
 

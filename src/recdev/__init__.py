@@ -12,7 +12,13 @@ else is imported from its module.
 from .bandwidth import BandwidthSchedule, ScalingSequence
 from .cgf import CgfSpec
 from .densities import GaussianDensity, build_density
-from .deviations import DeviationExperiment, chernoff_upper_curve, run_pointwise, run_uniform
+from .deviations import (
+    DeviationExperiment,
+    UnderpoweredExperimentError,
+    chernoff_upper_curve,
+    run_pointwise,
+    run_uniform,
+)
 from .estimator import RecursiveEstimator, batch_values
 from .kernels import builtin_kernel
 from .ratefn import PsiEvaluator
@@ -27,6 +33,7 @@ __all__ = [
     "PsiEvaluator",
     "RecursiveEstimator",
     "ScalingSequence",
+    "UnderpoweredExperimentError",
     "batch_values",
     "build_density",
     "builtin_kernel",

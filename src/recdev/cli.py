@@ -250,6 +250,9 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             bad.append(f"{tag}: b must be < (1-a(d+2|alpha|))/2 = {bound:g}{case}; got b={b:g}")
         if not b < a * q:
             bad.append(f"(H7)ii): b must be < a*q = {a * q:g}; got b={b:g}")
+    if simulate and cfg.xi is not None and cfg.region is None:
+        bad.append("xi (the moment exponent of an unbounded region) needs a region; "
+                   "the pointwise run reads no xi")
     if simulate and cfg.mode not in (None, kind):
         if cfg.region is None and cfg.mode.startswith("uniform"):
             bad.append("uniform mode needs a region grid")

@@ -52,6 +52,16 @@ from .numerics import BLOCK_ENTRIES, NeumaierSum, refine
 _MEAN_TOL = 1e-9
 
 
+# inputs that `RecursiveEstimator.update` takes by float(x) in d = 1
+_REAL_SCALARS = (float, int, np.floating, np.integer)
+
+
+def _check_finite(X: np.ndarray) -> None:
+    """Refuse observations holding NaN or an infinity."""
+    if not np.isfinite(X).all():
+        raise ValueError("observations must be finite")
+
+
 def _block_rows(m: int) -> int:
     """Observations per block of BLOCK_ENTRIES kernel evaluations on m points."""
     return max(1, BLOCK_ENTRIES // max(m, 1))
@@ -86,10 +96,11 @@ class RecursiveEstimator:
     estimator stays usable.
     The deferral pays off when several observations arrive between reads.
     On a 20-point gaussian grid (2-vCPU x86 host, 20,000 observations, best
-    of 3) a read after every update costs 28-51 us per observation, as each
+    of 3) a read after every update costs 48-50 us per observation, as each
     read runs the block route's numpy calls, `KernelModel.deriv_eval`
-    included, for one row; reading every 10 or 100 updates costs 5-8 or
-    2-3 us (no CLI command streams; this concerns library callers).
+    included, for one row; reading every 10 or 100 updates costs 6-7 or
+    1.7-2.0 us, of which the update itself is about 0.6 us for a scalar
+    (no CLI command streams; this concerns library callers).
     Pending rows are bounded by the block, so memory does not grow with the
     stream.
     """
@@ -103,11 +114,12 @@ class RecursiveEstimator:
         kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
         self._power = kernel.dimension + self.alpha.order
         m, d = self.grid.shape
-        rows = _block_rows(m)
+        self._rows = _block_rows(m)
         # pending observations and the kernel arguments (grid - X) / h of
-        # the whole block
-        self._X = np.empty((rows, d))
-        self._z = np.empty((rows, m, d))
+        # the whole block; in d = 1 a scalar is stored through a flat view
+        self._X = np.empty((self._rows, d))
+        self._x1 = self._X.reshape(-1) if d == 1 else None
+        self._z = np.empty((self._rows, m, d))
         self.reset()
 
     def reset(self) -> None:
@@ -119,14 +131,29 @@ class RecursiveEstimator:
     def update(self, x) -> None:
         """Record one observation in O(1), independent of history.
 
-        A malformed x raises here.  The kernel work runs at the next
-        `values()`, or here when this observation fills the pending block.
+        In d = 1, x is a real scalar (a Python or numpy int or float, taken
+        by `float(x)`) or anything `np.asarray(x, float64)` reshapes to one
+        value (a 0-d array, `[x]`, `np.array([x])`); in d >= 2 anything that
+        reshapes to d values.  Both routes store the same float64.  A
+        malformed x raises here, a NaN or an infinity as ValueError, and
+        `count` and the pending rows do not change.  The kernel work runs
+        at the next `values()`, or here when this observation fills the
+        pending block.
         """
-        x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
+        if self._x1 is not None and isinstance(x, _REAL_SCALARS):
+            x = float(x)
+            if not math.isfinite(x):
+                raise ValueError(f"observation must be finite; got {x}")
+            self._x1[self._pending] = x
+        else:
+            x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
+            # per coordinate: np.isfinite costs more than the rest of an update
+            if not all(map(math.isfinite, x.tolist())):
+                raise ValueError(f"observation must be finite; got {x}")
+            self._X[self._pending] = x
         self.count += 1
-        self._X[self._pending] = x
         self._pending += 1
-        if self._pending == len(self._X):
+        if self._pending == self._rows:
             self._flush()
 
     def _flush(self) -> None:
@@ -144,10 +171,23 @@ class RecursiveEstimator:
         self._sum.add_rows(vals)
 
     def update_batch(self, X) -> None:
-        """Fold in rows of X in order (order matters; see module docstring)."""
+        """Fold in rows of X in order (order matters; see module docstring).
+
+        Bit-identical to one `update` per row: the rows are copied into the
+        pending block, which is evaluated each time it fills.  A non-finite
+        entry raises ValueError before any row is recorded.
+        """
         X, _ = as_points(X, self.kernel.dimension)
-        for row in X:
-            self.update(row)
+        _check_finite(X)
+        i = 0
+        while i < len(X):
+            k = min(len(X) - i, self._rows - self._pending)
+            self._X[self._pending : self._pending + k] = X[i : i + k]
+            self.count += k
+            self._pending += k
+            i += k
+            if self._pending == self._rows:
+                self._flush()
 
     def values(self) -> np.ndarray:
         """Current estimate on the grid; raises before any observation.
@@ -181,6 +221,7 @@ def batch_values(
     n, d = X.shape
     if n == 0:
         raise ValueError("empty sample")
+    _check_finite(X)
     hs = schedule.values(n)
     power = d + mi.order
     acc = NeumaierSum(shape=(len(pts),))

@@ -392,6 +392,7 @@ _STRUCTURAL_FAULTS = [
     ("bias", dict(m_q=0.0)),
     ("simulate", dict(xi=0.0, region="0:1:0.5")),
     ("simulate", dict(xi=-1.0)),
+    ("simulate", dict(xi=2.0, scaling_kind="power", scaling_b=0.1)),  # xi without a region
     ("simulate", dict(region=[[0.0, 1.0]])),
     ("estimate", dict(seed=-1)),
     ("simulate", dict(seed=-1)),

@@ -137,6 +137,84 @@ def test_estimator_is_order_sensitive():
     assert abs(fwd[0] - rev[0]) > 1e-6
 
 
+def _fed(d, inputs):
+    """A d-dimensional estimator on a 5-point grid after one update per input."""
+    grid = np.linspace(-1.0, 1.0, 5 * d).reshape(5, d)
+    est = RecursiveEstimator(builtin_kernel("gaussian", d), SCHED, grid)
+    for x in inputs:
+        est.update(x)
+    return est
+
+
+_ACCEPTED = [
+    (1, 0.3),
+    (1, 3),
+    (1, np.float64(0.3)),
+    (1, np.float32(0.3)),
+    (1, np.array(0.3)),
+    (1, np.array([0.3])),
+    (1, [0.3]),
+    (2, [0.3, -0.5]),
+    (2, np.array([[0.3, -0.5]])),
+]
+_REFUSED = [
+    (1, [0.3, -0.5]),
+    (2, 0.3),
+    (1, "abc"),
+    (1, math.nan),
+    (1, np.float64(-math.inf)),
+    (1, None),  # np.asarray(None, float64) reads as NaN
+    (2, [0.3, math.nan]),
+]
+
+
+@pytest.mark.parametrize(
+    "d,x,accepted",
+    [(d, x, True) for d, x in _ACCEPTED] + [(d, x, False) for d, x in _REFUSED],
+    ids=[f"{'ok' if ok else 'refused'}-d{d}-{type(x).__name__}-{x!r}"
+         for ok, cases in ((True, _ACCEPTED), (False, _REFUSED)) for d, x in cases],
+)
+def test_update_routes_store_the_general_routes_float64(d, x, accepted):
+    # a d = 1 scalar skips np.asarray but stores the same bits; a refused
+    # input raises at its own call and leaves the count and pending rows
+    before, after = [0.1] * d, [-0.7] * d
+    est = _fed(d, [before])
+    if accepted:
+        est.update(x)
+        ref = _fed(d, [before, np.asarray(x, dtype=np.float64).reshape(d)])
+    else:
+        with pytest.raises(ValueError):
+            est.update(x)
+        assert est.count == 1
+        ref = _fed(d, [before])
+    est.update(after)
+    ref.update(after)
+    assert est.count == ref.count
+    assert est.values().tobytes() == ref.values().tobytes()
+
+
+def test_non_finite_observations_are_refused_everywhere():
+    # a NaN would poison every later read and an infinity would count as an
+    # observation with zero terms, so neither is recorded
+    kernel = builtin_kernel("gaussian", 1)
+    grid = np.linspace(-2.0, 2.0, 20).reshape(-1, 1)
+    clean = np.array([0.2, -0.4, 1.1])
+    for bad in (math.nan, math.inf, -math.inf):
+        est = RecursiveEstimator(kernel, SCHED, grid)
+        est.update_batch(clean[:2])
+        with pytest.raises(ValueError, match="finite"):
+            est.update(bad)
+        with pytest.raises(ValueError, match="finite"):
+            est.update_batch([clean[2], bad])
+        assert est.count == 2
+        est.update(clean[2])
+        ref = RecursiveEstimator(kernel, SCHED, grid)
+        ref.update_batch(clean)
+        assert est.values().tobytes() == ref.values().tobytes()
+        with pytest.raises(ValueError, match="finite"):
+            batch_values(kernel, SCHED, np.append(clean, bad), grid)
+
+
 def test_values_requires_data_and_reset_clears():
     kernel = builtin_kernel("gaussian", 1)
     est = RecursiveEstimator(kernel, SCHED, np.array([[0.0]]))
@@ -206,6 +284,32 @@ def test_kernel_error_drops_the_pending_rows_and_keeps_the_estimator_usable():
     acc.add(term(BLOCK_20 + 1, 0.2))
     assert est.count == BLOCK_20 + 1
     assert est.values().tobytes() == (acc.total / (BLOCK_20 + 1)).tobytes()
+
+
+def test_update_batch_drops_a_failing_block_like_single_updates():
+    # the batch copies rows block by block; a kernel error at a full block
+    # leaves the count and the later state that one update per row leaves
+    base = builtin_kernel("epanechnikov", 1)
+
+    def fn(mi, pts):
+        if np.any(np.abs(pts) > 1e6):
+            raise ValueError("marked observation")
+        return base.fn(mi, pts)
+
+    kernel = dataclasses.replace(base, name="failing", fn=fn)
+    grid = np.linspace(-2.0, 2.0, 20).reshape(-1, 1)
+    X = np.full(2 * BLOCK_20 + 5, 0.1)
+    X[BLOCK_20 + 3] = 1e9
+    one, many = RecursiveEstimator(kernel, SCHED, grid), RecursiveEstimator(kernel, SCHED, grid)
+    with pytest.raises(ValueError, match="marked"):
+        for x in X:
+            one.update(x)
+    with pytest.raises(ValueError, match="marked"):
+        many.update_batch(X)
+    assert many.count == one.count == 2 * BLOCK_20
+    for est in (one, many):
+        est.update_batch(X[2 * BLOCK_20 :])
+    assert many.values().tobytes() == one.values().tobytes()
 
 
 def test_pending_observations_stay_within_the_block():
