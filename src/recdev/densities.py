@@ -48,7 +48,8 @@ class Density:
         pts, lead = as_points(points, self.dimension)
         return self._partial(mi, pts).reshape(lead)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, n: int, out=None) -> np.ndarray:
+        """n draws, shape (n, d), written into `out` when given and returned."""
         raise NotImplementedError
 
     def max_abs_derivative(self, order: int) -> float:
@@ -92,9 +93,12 @@ class GaussianDensity(Density):
             out = factor if out is None else out * factor
         return out
 
-    def sample(self, rng, n):
-        eps = rng.standard_normal((n, self.dimension))
-        return self.mean + self.sigma * eps
+    def sample(self, rng, n, out=None):
+        # in place, at the bits of mean + sigma * eps
+        x = rng.standard_normal((n, self.dimension), out=out)
+        x *= self.sigma
+        x += self.mean
+        return x
 
     def max_abs_derivative(self, order):
         if self.dimension != 1:
@@ -131,10 +135,12 @@ class GaussianMixtureDensity(Density):
             out += w * comp._partial(mi, pts)
         return out
 
-    def sample(self, rng, n):
+    def sample(self, rng, n, out=None):
         comp = rng.choice(len(self.weights), size=n, p=self.weights)
-        eps = rng.standard_normal((n, self.dimension))
-        return self.means[comp] + self.sigmas[comp] * eps
+        x = rng.standard_normal((n, self.dimension), out=out)
+        x *= self.sigmas[comp]
+        x += self.means[comp]
+        return x
 
     def max_abs_derivative(self, order):
         if self.dimension != 1:
@@ -165,9 +171,11 @@ class UniformBoxDensity(Density):
         inside = np.all((pts >= self.low) & (pts <= self.high), axis=1)
         return np.where(inside, 1.0 / self._volume, 0.0)
 
-    def sample(self, rng, n):
-        u = rng.random((n, self.dimension))
-        return self.low + u * (self.high - self.low)
+    def sample(self, rng, n, out=None):
+        x = rng.random((n, self.dimension), out=out)
+        x *= self.high - self.low
+        x += self.low
+        return x
 
     def max_abs_derivative(self, order):
         if order == 0:

@@ -15,11 +15,16 @@ formula, so the harness simulates the arithmetic the library ships.
 Replications run in chunks of `numerics.BLOCK_ENTRIES // n_max` (at least
 one), so the (replications x n_max) arrays of a chunk hold about 2^16
 observations (512 kB in d = 1) and stay in cache.  Each worker draws its
-chunks into one sample buffer and builds the kernel arguments in one more,
-both reused from chunk to chunk, so the loop neither reallocates nor
-page-faults them.
-Memory is flat in R; it grows with n_max only once n_max exceeds the
-budget and a chunk is a single replication.
+chunks straight into one sample buffer (`Density.sample(..., out=)`) and
+builds the kernel arguments in one more, both reused from chunk to chunk,
+so the loop neither reallocates nor page-faults them.
+The chunks are dealt round-robin to RECDEV_THREADS workers, by default the
+cores the process may run on (never more than the chunks): the calling
+thread runs the first share and a pool the others, so one worker is the
+serial loop.  Memory is bounded per worker (about 2.5 MB each in d = 1),
+flat in R, and grows with n_max only once n_max exceeds the budget and a
+chunk is a single replication; counts are bit-identical at any thread
+count.
 
 Reports juxtapose the empirical normalized log-probabilities
 (1/b_n) log p_hat_n with the theoretical reference g(delta), the smaller of
@@ -149,11 +154,20 @@ class DeviationReport:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("RECDEV_THREADS", "1")
+    """RECDEV_THREADS, or the cores this process may run on when it is unset."""
+    raw = os.environ.get("RECDEV_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"RECDEV_THREADS must be an integer >= 1; got {raw!r}")
+    return count
 
 
 def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
@@ -195,7 +209,7 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
             for j in range(b):
                 fresh["state"]["key"] = np.array([exp.rng_seed, r0 + j], dtype=np.uint64)
                 bitgen.state = fresh
-                X[j] = spec.density.sample(gen, n_max)
+                spec.density.sample(gen, n_max, out=X[j])
             sup_stat = np.zeros((b, len(n_list)))
             for g in range(len(grid)):
                 vals = kernel_terms(kernel, alpha, grid[g], X, hs, hp, z)
@@ -206,13 +220,15 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
             counts += (sup_stat >= delta).sum(axis=0)
         return counts
 
+    # the calling thread runs group 0 and a pool the others; with one worker
+    # the pool is never used and starts no thread
     groups = [range(w, n_chunks, workers) for w in range(workers)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunks, groups))
-    else:
-        parts = list(map(run_chunks, groups))
-    return np.sum(parts, axis=0)
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        others = [pool.submit(run_chunks, g) for g in groups[1:]]
+        counts = run_chunks(groups[0])
+        for part in others:
+            counts += part.result()
+    return counts
 
 
 def _rows_from_counts(exp: DeviationExperiment, counts: np.ndarray) -> tuple:

@@ -56,10 +56,10 @@ _MEAN_TOL = 1e-9
 _REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
-def _check_finite(X: np.ndarray) -> None:
-    """Refuse observations holding NaN or an infinity."""
+def _check_finite(X: np.ndarray, what: str = "observations") -> None:
+    """Refuse observations (or grid points) holding NaN or an infinity."""
     if not np.isfinite(X).all():
-        raise ValueError("observations must be finite")
+        raise ValueError(f"{what} must be finite")
 
 
 def _block_rows(m: int) -> int:
@@ -111,6 +111,7 @@ class RecursiveEstimator:
         self.alpha = as_multi_index(alpha, kernel.dimension)
         schedule.check_compatible(kernel.dimension, self.alpha.order)
         self.grid, _ = as_points(grid, kernel.dimension)
+        _check_finite(self.grid, "grid points")
         kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
         self._power = kernel.dimension + self.alpha.order
         m, d = self.grid.shape
@@ -135,22 +136,25 @@ class RecursiveEstimator:
         by `float(x)`) or anything `np.asarray(x, float64)` reshapes to one
         value (a 0-d array, `[x]`, `np.array([x])`); in d >= 2 anything that
         reshapes to d values.  Both routes store the same float64.  A
-        malformed x raises here, a NaN or an infinity as ValueError, and
-        `count` and the pending rows do not change.  The kernel work runs
-        at the next `values()`, or here when this observation fills the
-        pending block.
+        malformed x raises here, a NaN, an infinity or an int beyond the
+        float range as ValueError, and `count` and the pending rows do not
+        change.  The kernel work runs at the next `values()`, or here when
+        this observation fills the pending block.
         """
-        if self._x1 is not None and isinstance(x, _REAL_SCALARS):
-            x = float(x)
-            if not math.isfinite(x):
-                raise ValueError(f"observation must be finite; got {x}")
-            self._x1[self._pending] = x
-        else:
-            x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
-            # per coordinate: np.isfinite costs more than the rest of an update
-            if not all(map(math.isfinite, x.tolist())):
-                raise ValueError(f"observation must be finite; got {x}")
-            self._X[self._pending] = x
+        try:
+            if self._x1 is not None and isinstance(x, _REAL_SCALARS):
+                x = float(x)
+                if not math.isfinite(x):
+                    raise ValueError(f"observation must be finite; got {x}")
+                self._x1[self._pending] = x
+            else:
+                x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
+                # per coordinate: np.isfinite costs more than the rest of an update
+                if not all(map(math.isfinite, x.tolist())):
+                    raise ValueError(f"observation must be finite; got {x}")
+                self._X[self._pending] = x
+        except OverflowError:  # an int too large for a float
+            raise ValueError("observation must be finite; got an int beyond the float range") from None
         self.count += 1
         self._pending += 1
         if self._pending == self._rows:
@@ -222,6 +226,7 @@ def batch_values(
     if n == 0:
         raise ValueError("empty sample")
     _check_finite(X)
+    _check_finite(pts, "grid points")
     hs = schedule.values(n)
     power = d + mi.order
     acc = NeumaierSum(shape=(len(pts),))

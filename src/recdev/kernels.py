@@ -80,8 +80,12 @@ def as_points(points, d: int) -> tuple[np.ndarray, tuple]:
     In d = 1 inputs are scalars, so (m,) is m points and only an explicit
     (m, 1) array is already in point form; in d >= 2 the last axis holds
     the coordinates, so a (d,) array is one point with leading shape ().
+    An int beyond the float range raises ValueError.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    try:
+        pts = np.asarray(points, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("points must be finite; got an int beyond the float range") from None
     if d == 1 and not (pts.ndim == 2 and pts.shape[-1] == 1):
         pts = pts.reshape(pts.shape + (1,))
     if pts.ndim == 0 or pts.shape[-1] != d:

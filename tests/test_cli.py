@@ -286,18 +286,37 @@ def test_simulate_failing_verdict_exits_one(tmp_path, capsys):
     assert "out" not in summary["config"]
 
 
-def test_simulate_outputs_are_byte_deterministic(tmp_path, monkeypatch):
+def _simulate_bytes_at(tmp_path, monkeypatch, threads) -> list:
+    """simulate.csv and simulate.json of one seeded run at RECDEV_THREADS (None: unset)."""
     path = _write_cfg(
         tmp_path, bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,
         delta=0.25, n_list=[40, 160], replications=300, seed=5,
     )
-    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "a")]) in (0, 1)
-    monkeypatch.setenv("RECDEV_THREADS", "4")
-    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "b")]) in (0, 1)
-    for name in ("simulate.csv", "simulate.json"):
-        a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        assert a == b
+    if threads is None:
+        monkeypatch.delenv("RECDEV_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RECDEV_THREADS", threads)
+    out = tmp_path / f"threads_{threads}"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) in (0, 1)
+    return [(out / name).read_bytes() for name in ("simulate.csv", "simulate.json")]
+
+
+def test_simulate_outputs_are_byte_deterministic(tmp_path, monkeypatch):
+    base = _simulate_bytes_at(tmp_path, monkeypatch, "1")
+    assert _simulate_bytes_at(tmp_path, monkeypatch, "4") == base
+
+
+def test_simulate_outputs_at_the_default_thread_count_match_one_thread(tmp_path, monkeypatch):
+    base = _simulate_bytes_at(tmp_path, monkeypatch, "1")
+    assert _simulate_bytes_at(tmp_path, monkeypatch, None) == base
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_simulate_exits_two_on_a_bad_thread_count(tmp_path, monkeypatch, capsys, raw):
+    path = _write_cfg(tmp_path, scaling_kind="power", scaling_b=0.1, replications=50, seed=5)
+    monkeypatch.setenv("RECDEV_THREADS", raw)
+    assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"RECDEV_THREADS must be an integer >= 1; got {raw!r}" in capsys.readouterr().err
 
 
 def test_simulate_uniform_region_summary(tmp_path):

@@ -107,6 +107,27 @@ def test_uniform_box_sampling_inside():
     assert x.min() >= 0.0 and x.max() <= 2.0
 
 
+@pytest.mark.parametrize(
+    "density",
+    [
+        GaussianDensity(mean=[0.3, -1.0], sigma=[0.7, 2.5]),
+        GaussianMixtureDensity(weights=[0.3, 0.7], means=[[-1.0], [2.0]], sigmas=[[0.5], [1.3]]),
+        UniformBoxDensity(low=[-0.3, 1.0], high=[0.9, 4.0]),
+    ],
+    ids=lambda f: f.name,
+)
+def test_sampling_into_a_buffer_matches_a_fresh_draw_bit_for_bit(density):
+    def rng():
+        return np.random.Generator(np.random.Philox(key=np.array([9, 2], dtype=np.uint64)))
+
+    fresh = density.sample(rng(), 3000)
+    buf = np.full((2, 3000, density.dimension), np.nan)
+    out = buf[1]
+    assert density.sample(rng(), 3000, out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert np.isnan(buf[0]).all()
+
+
 def test_max_abs_derivative_against_scan_oracle():
     from scipy.stats import norm
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -101,13 +102,39 @@ def test_counts_invariant_to_chunking(monkeypatch):
 
 def test_counts_invariant_to_thread_count(monkeypatch):
     monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
+    monkeypatch.setenv("RECDEV_THREADS", "1")
     base = run_pointwise(_exp(_spec()))
     monkeypatch.setenv("RECDEV_THREADS", "4")
     threaded = run_pointwise(_exp(_spec()))
     assert threaded == base
 
 
-@pytest.mark.parametrize(
+def test_counts_at_the_default_thread_count_match_one_thread(monkeypatch):
+    monkeypatch.setattr(deviations, "BLOCK_ENTRIES", 3_000)
+    monkeypatch.setenv("RECDEV_THREADS", "1")
+    base = run_pointwise(_exp(_spec()))
+    monkeypatch.delenv("RECDEV_THREADS")
+    assert run_pointwise(_exp(_spec())) == base
+
+
+def test_thread_count_defaults_to_the_usable_cores(monkeypatch):
+    monkeypatch.delenv("RECDEV_THREADS", raising=False)
+    assert deviations._thread_count() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert deviations._thread_count() == 3
+    monkeypatch.setenv("RECDEV_THREADS", "2")
+    assert deviations._thread_count() == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
+def test_thread_count_refuses_anything_but_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv("RECDEV_THREADS", raw)
+    with pytest.raises(ValueError, match=f"RECDEV_THREADS must be an integer >= 1; got {raw!r}"):
+        deviations._thread_count()
+
+
+_MEMORY_CASES = pytest.mark.parametrize(
     "c, delta, n_list, replications, region",
     [
         (0.35, 0.2, (500, 2000, 8000), 2000, None),
@@ -115,16 +142,35 @@ def test_counts_invariant_to_thread_count(monkeypatch):
     ],
     ids=["chernoff_shape", "nine_point_region"],
 )
-def test_simulation_memory_stays_within_the_chunk_budget(c, delta, n_list, replications, region):
+
+
+def _simulation_peak(c, delta, n_list, replications, region) -> int:
     exp = _exp(_spec(c=c), delta=delta, n_list=n_list, replications=replications, region=region)
     grid = exp.spec.point.reshape(1, -1) if region is None else exp.region
     tracemalloc.start()
     try:
         _simulate_counts(exp, grid)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Each worker holds its own chunk buffers, so the budget is per worker; the
+# worker count is pinned because the default follows the host's cores.
+@_MEMORY_CASES
+def test_simulation_memory_stays_within_the_chunk_budget(monkeypatch, c, delta, n_list, replications, region):
+    monkeypatch.setenv("RECDEV_THREADS", "1")
+    peak = _simulation_peak(c, delta, n_list, replications, region)
     assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@_MEMORY_CASES
+def test_simulation_memory_stays_within_the_chunk_budget_per_worker(
+    monkeypatch, c, delta, n_list, replications, region
+):
+    monkeypatch.setenv("RECDEV_THREADS", "2")
+    peak = _simulation_peak(c, delta, n_list, replications, region)
+    assert peak <= 2 * 8e6, f"peak {peak / 1e6:.1f} MB at 2 workers"
 
 
 def test_singleton_region_matches_pointwise():

@@ -215,6 +215,33 @@ def test_non_finite_observations_are_refused_everywhere():
             batch_values(kernel, SCHED, np.append(clean, bad), grid)
 
 
+@pytest.mark.parametrize("d, x", [(1, 10**400), (1, [10**400]), (2, [0.1, 10**400])],
+                         ids=["scalar_route", "general_route", "d2"])
+def test_an_int_beyond_the_float_range_is_refused_as_non_finite(d, x):
+    # float(x) and np.asarray(x, float64) raise OverflowError on such an int
+    kernel = builtin_kernel("gaussian", d)
+    est = RecursiveEstimator(kernel, SCHED, np.zeros((3, d)))
+    est.update(np.full(d, 0.2))
+    with pytest.raises(ValueError, match="finite"):
+        est.update(x)
+    with pytest.raises(ValueError, match="finite"):
+        est.update_batch([x])
+    assert (est.count, est._pending) == (1, 1)
+    ref = RecursiveEstimator(kernel, SCHED, np.zeros((3, d)))
+    ref.update(np.full(d, 0.2))
+    assert est.values().tobytes() == ref.values().tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_grid_points_are_refused_on_both_routes(bad):
+    kernel = builtin_kernel("gaussian", 1)
+    grid = [[0.0], [bad]]
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        RecursiveEstimator(kernel, SCHED, grid)
+    with pytest.raises(ValueError, match="grid points must be finite"):
+        batch_values(kernel, SCHED, [0.1, 0.2], grid)
+
+
 def test_values_requires_data_and_reset_clears():
     kernel = builtin_kernel("gaussian", 1)
     est = RecursiveEstimator(kernel, SCHED, np.array([[0.0]]))
