@@ -381,7 +381,7 @@ def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec, grid: Optional[np.ndarra
 
 def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec, ts: np.ndarray):
     psi = spec.psi()
-    values = [psi.legendre(float(t)) for t in ts]
+    values = psi.legendre(ts)
     header = ["t", "rate"]
     rows = [[float(t), rv.value] for t, rv in zip(ts, values)]
     summary = {

@@ -12,10 +12,11 @@ Two node families cover every integral in the package:
 Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly
 doubles the node count, and the difference between two consecutive levels is
-used as the error estimate.  `refine` is the one loop that compares levels,
-and `agrees` its one acceptance rule: absolute for values below 1, relative
-above.  A quantity that cannot meet its tolerance within the level budget
-raises QuadratureError rather than returning a silent best-effort value.
+used as the error estimate.  `refine` compares levels for a whole call and
+`refine_each` element by element; `agrees` is the one acceptance rule:
+absolute for values below 1, relative above.  A quantity that cannot meet its
+tolerance within the level budget raises QuadratureError rather than
+returning a silent best-effort value.
 
 `_fold` is the one compensated sum (Neumaier, ZAMM 54, 1974) behind
 `NeumaierSum` and `compensated_cumsum`.
@@ -167,10 +168,44 @@ def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str)
         prev, val = val, at_level(level)
         if prev is not None and agrees(np.abs(val - prev), val, tol):
             return val, level
-    raise QuadratureError(
-        f"{what} did not reach tol {tol:g} by level {level} "
-        f"(last two-level delta {float(np.max(np.abs(val - prev))):.3g})"
+    raise _gave_up(what, tol, level, float(np.max(np.abs(val - prev))))
+
+
+def _gave_up(what: str, tol: float, level: int, delta: float) -> QuadratureError:
+    return QuadratureError(
+        f"{what} did not reach tol {tol:g} by level {level} (last two-level delta {delta:.3g})"
     )
+
+
+def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
+    """`refine` for each of n elements on its own: (values, levels, failures).
+
+    `at_level(idx, level)` evaluates the elements `idx` (an index array) at
+    one level as an array (..., len(idx)).  Element i is accepted at the
+    first level where its column passes `agrees` against the level before,
+    and only the elements still open are evaluated at the next level, so an
+    element's value and level do not depend on the others in the call.
+    Returns the values (..., n), each element's accepted level (0 if none)
+    and {i: QuadratureError} for the elements that ran out of `levels`.
+    """
+    idx, prev = np.arange(n), None
+    accepted = np.zeros(n, dtype=int)
+    for level in levels:
+        cur = at_level(idx, level)
+        if prev is None:
+            val = np.empty(cur.shape[:-1] + (n,))
+        else:
+            gap = np.abs(cur - prev).reshape(-1, len(idx)).max(axis=0)
+            scale = np.abs(cur).reshape(-1, len(idx)).max(axis=0)
+            ok = gap <= tol * np.maximum(1.0, scale)
+            done = idx[ok]
+            val[..., done] = cur[..., ok]
+            accepted[done] = level
+            if len(done) == len(idx):
+                return val, accepted, {}
+            idx, cur, gap = idx[~ok], cur[..., ~ok], gap[~ok]
+        prev = cur
+    return val, accepted, {int(i): _gave_up(what, tol, level, float(g)) for i, g in zip(idx, gap)}
 
 
 def two_sum_error(a, s, b):

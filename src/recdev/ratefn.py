@@ -22,14 +22,17 @@ I is finite everywhere.  I vanishes exactly at t = psi'(0).
 Numerics: the s-integral is in closed form, so psi and its derivatives need
 one rule, in z: tanh-sinh on (0, r)^d, folded since the kernel is even,
 whose nodes crowd the support edges where very negative u puts the exp
-boundary layer; `numerics.refine` raises its level until every point of a
-call agrees.  The conjugate inverts psi' by bracketed Newton safeguarded
-by bisection.
+boundary layer; `numerics.refine_each` raises each u's level until it agrees
+with the level before.  The conjugate inverts psi' by bracketed Newton
+safeguarded by bisection, for a whole t grid in lockstep.  Every value is a
+function of its own input: an element of a batched call equals, bit for
+bit, a call on that element alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ from .numerics import (
     EXP_ARG_LIMIT,
     RootFindError,
     check_exp_bound,
-    refine,
+    refine_each,
     tanh_sinh,
 )
 
@@ -90,33 +93,64 @@ _ROOT_TOL = 1e-10
 # series blocks of _TERMS terms on BLOCK_ENTRIES // _TERMS (u, z) pairs, so
 # the temporaries stay within the block budget whatever len(u), d or level
 _TERMS = 16
+# series blocks at least this wide take np.cumprod's products row by row:
+# its scan down axis 0 costs some 70 ns per column, 15 row multiplies ~15 us
+_WIDE = 256
 _SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
 
 
-def _series(y: np.ndarray, coef) -> np.ndarray:
+def _series(y: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
     """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for nonempty y >= 0.
 
-    _TERMS terms per np.cumprod, until k > max y (the terms fall from there)
-    and the last term is below 1e-17 of 1 + the sum everywhere.
+    y is a run of counts[j] > 0 elements per u.  _TERMS terms per np.cumprod,
+    until, for each run, k > its max y (the terms fall from there) and its
+    last term is below 1e-17 of 1 + the sum at each of its elements: the
+    rule a call on that run alone applies, so no run's sums depend on the
+    others.  A block's column sums run down its _TERMS rows in order, except
+    that a (_TERMS, 1) block, the block of a run alone if it has one element,
+    sums pairwise; such a run's column is summed that way here too.
     """
-    top = float(np.max(y))
-    tail, term, k = np.zeros_like(y), np.ones_like(y), 1
-    while k <= top or np.any(term > 1e-17 * (1.0 + tail)):
-        block = np.multiply.outer(coef(np.arange(k, k + _TERMS)), y)
-        np.cumprod(block, axis=0, out=block)
-        block *= term
-        tail += block.sum(axis=0)
-        term, k = block[-1], k + _TERMS
-    return tail
+    out, k, buf = np.empty_like(y), 1, np.empty(_TERMS * len(y))
+    idx, tail, term = np.arange(len(y)), np.zeros_like(y), np.ones_like(y)
+    while True:
+        starts = np.cumsum(counts) - counts
+        top = np.maximum.reduceat(y, starts)
+        single = starts[counts == 1] if len(y) > 1 else starts[:0]
+        block = buf[: _TERMS * len(y)].reshape(_TERMS, len(y))
+        while True:
+            np.multiply.outer(coef(np.arange(k, k + _TERMS)), y, out=block)
+            if len(y) < _WIDE:
+                np.cumprod(block, axis=0, out=block)
+            else:  # the same products, one row at a time
+                for i in range(1, _TERMS):
+                    np.multiply(block[i - 1], block[i], out=block[i])
+            block *= term
+            sums = block.sum(axis=0)
+            if single.size:
+                sums[single] = np.ascontiguousarray(block[:, single].T).sum(axis=1)
+            tail += sums
+            term, k = block[-1].copy(), k + _TERMS
+            more = k <= top
+            if more.all():
+                continue
+            more |= np.logical_or.reduceat(term > 1e-17 * (1.0 + tail), starts)
+            if not more.all():
+                break
+        out[idx] = tail
+        if not more.any():
+            return out
+        keep = np.repeat(more, counts)
+        idx, y, tail, term, counts = idx[keep], y[keep], tail[keep], term[keep], counts[more]
 
 
 def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
     """int_0^1 w^(b-1) e^(A w) dw = M(b, b+1, A)/b elementwise for b > 0 (A-S 13.1).
 
-    Positive-term series: sum_k A^k/(k! (b+k)) for A >= 0, and for A = -x
-    the incomplete gamma series e^-x sum_k x^k/(b (b+1) ... (b+k)) (NR 6.2),
-    or Gamma(b) x^-b past x = b + 60 + 8 sqrt(b), where Gamma(b, x) is below
-    1e-20 Gamma(b) for every b.  `excess` leaves out the k = 0 term, 1/b.
+    A holds one row of arguments per u.  Positive-term series:
+    sum_k A^k/(k! (b+k)) for A >= 0, and for A = -x the incomplete gamma
+    series e^-x sum_k x^k/(b (b+1) ... (b+k)) (NR 6.2), or Gamma(b) x^-b
+    past x = b + 60 + 8 sqrt(b), where Gamma(b, x) is below 1e-20 Gamma(b)
+    for every b.  `excess` leaves out the k = 0 term, 1/b.
     """
     h = float(excess)
     out = np.empty_like(A)
@@ -126,12 +160,20 @@ def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
     if far.any():
         out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
     if up.any():
-        out[up] = (_series(A[up], lambda k: (b + k - 1.0) / (k * (b + k))) + (1.0 - h)) / b
+        tail = _series(A[up], _runs(up), lambda k: (b + k - 1.0) / (k * (b + k)))
+        out[up] = (tail + (1.0 - h)) / b
     if near.any():
         x = -A[near]
         e = np.exp(-x)
-        out[near] = (e * _series(x, lambda k: 1.0 / (b + k)) + (np.expm1(-x) if excess else e)) / b
+        tail = _series(x, _runs(near), lambda k: 1.0 / (b + k))
+        out[near] = (e * tail + (np.expm1(-x) if excess else e)) / b
     return out
+
+
+def _runs(mask: np.ndarray) -> np.ndarray:
+    """The nonzero per-row counts of a 2-d mask: the runs of mask's elements, one per u."""
+    counts = np.count_nonzero(mask, axis=1)
+    return counts[counts > 0]
 
 
 class PsiEvaluator:
@@ -141,9 +183,24 @@ class PsiEvaluator:
     psi'' are the z-integrals, over a d, of `_s_integral` at b = beta + k
     times (c K)^k, k = 0, 1, 2 (psi less 1/beta), on tanh-sinh nodes in
     (0, r)^d with weights times 2^d, as K is even in each coordinate (checked
-    here).  A call accepts a level once all its points agree with the level
-    before, so a value depends on its input alone; past `_LEVELS` it raises
-    QuadratureError, past the exp guard OverflowGuardError.
+    here).
+
+    Every method takes a float or an array and is batch-invariant: each
+    element of a call equals, bit for bit, a call on that element alone.
+    Each u is accepted at its own first level that agrees with the one
+    before (`numerics.refine_each`), its series stop by its own rule, and its
+    node sum is one dot product, as alone.  `inverse_prime` and `legendre`
+    run the bracket search and the safeguarded Newton iteration for every t
+    in lockstep, with one psi' (or psi', psi'') evaluation per step for the
+    whole batch.  A call that fails raises the error of its first failing
+    element: ValueError for a non-finite input (before any quadrature on
+    it), OverflowGuardError past the exp guard, QuadratureError past
+    `_LEVELS`, RootFindError when a root search gives up.
+
+    `counts` holds deterministic work counts since construction: psi
+    evaluations (one per element of a call) by accepted level, Newton
+    iterations (one psi', psi'' evaluation each) and bracket doublings.  They
+    are sums over elements, so they do not depend on how a grid is batched.
     """
 
     def __init__(self, kernel: KernelModel, a: float):
@@ -157,57 +214,165 @@ class PsiEvaluator:
             raise ValueError(f"need 0 < a*d < 1, got a*d = {self.ad}")
         self._beta = 1.0 / self.ad - 1.0
         self._c = 1.0 / (1.0 - self.ad)
-        self._rules: dict[int, tuple] = {}
+        self._kept: dict[int, list] = {}
+        self.counts = {
+            "psi_evaluations_per_level": Counter(), "newton_steps": 0, "bracket_doublings": 0,
+        }
         # exp-argument extremes per unit u, for the overflow guard; only
         # the positive side can overflow (the negative side underflows to 0)
         sup = kernel.sup_norm()
         self._arg_hi = self._c * sup
         self._arg_lo = -self._c * sup if kernel.negative_support_measure > 0 else 0.0
         flips = 1.0 - 2.0 * np.eye(kernel.dimension)  # each row negates one coordinate
-        for z, _ in self._nodes(_LEVELS[0]):
-            kz = self._k(z)
-            if not all(np.allclose(self._k(z * f), kz, rtol=1e-12, atol=0.0) for f in flips):
+        for z, ck, _ in self._chunks(_LEVELS[0]):
+            flipped = (self._c * self._k(z * f) for f in flips)
+            if not all(np.allclose(kf, ck, rtol=1e-12, atol=0.0) for kf in flipped):
                 raise ValueError(f"kernel '{kernel.name}' must be even in each coordinate for psi")
 
     # -- plumbing --------------------------------------------------------
 
-    def _nodes(self, level: int):
-        """The folded z rule at `level`, as (nodes, weights) chunks of BLOCK_ENTRIES // _TERMS."""
-        if level not in self._rules:
-            self._rules[level] = tanh_sinh(0.0, self.kernel.support_radius, level)
-        x, w = self._rules[level]
+    def _chunks(self, level: int):
+        """(z, c K(z), [w (c K)^k for k = 0, 1, 2]) per chunk of the folded z rule at `level`.
+
+        BLOCK_ENTRIES // _TERMS nodes per chunk, made as they are used; a rule
+        of one chunk (every level in d = 1) is kept on the evaluator.
+        """
+        if level in self._kept:
+            return self._kept[level]
+        x, w = tanh_sinh(0.0, self.kernel.support_radius, level)
         shape = (len(x),) * self.kernel.dimension
         n, step = math.prod(shape), BLOCK_ENTRIES // _TERMS
-        for j in range(0, n, step):
+
+        def chunk(j):
             ij = np.stack(np.unravel_index(np.arange(j, min(j + step, n)), shape), axis=1)
-            yield x[ij], w[ij].prod(axis=1) * 2.0 ** len(shape)
+            z, ck = x[ij], self._c * self._k(x[ij])
+            return z, ck, [w[ij].prod(axis=1) * 2.0 ** len(shape) * ck**k for k in range(3)]
+
+        chunks = map(chunk, range(0, n, step))
+        if n > step:
+            return chunks
+        self._kept[level] = list(chunks)
+        return self._kept[level]
 
     def _at_level(self, u: np.ndarray, level: int, kinds: tuple) -> np.ndarray:
         """Row k holds quantity kinds[k] at every u, from one z rule and one exp argument."""
         out = np.zeros((len(kinds), len(u)))
-        for z, w in self._nodes(level):
-            ck = self._c * self._k(z)
+        for _, ck, wk in self._chunks(level):
             u_step = max(1, BLOCK_ENTRIES // _TERMS // len(ck))
             for i in range(0, len(u), u_step):
                 arg = np.multiply.outer(u[i : i + u_step], ck)
                 for row, kind in enumerate(kinds):
-                    s = _s_integral(self._beta + _SHIFT[kind], arg, excess=kind == "psi")
-                    out[row, i : i + u_step] += s @ (w * ck ** _SHIFT[kind])
+                    k = _SHIFT[kind]
+                    s = _s_integral(self._beta + k, arg, excess=kind == "psi")
+                    # one dot product per u, as alone: a multi-row s @ w rounds otherwise
+                    out[row, i : i + u_step] += [r @ wk[k] for r in s]
         return out / self.ad
 
-    def _eval(self, u, kinds: tuple):
-        """One array (or float) per kind, at the first level where every point agrees."""
-        arr = np.asarray(u, dtype=np.float64).ravel()
-        if arr.size == 0:
-            return [arr.reshape(np.shape(u)) for _ in kinds]
-        hi = max(float(np.max(arr)), 0.0) * self._arg_hi
-        check_exp_bound(max(hi, min(float(np.min(arr)), 0.0) * self._arg_lo), "psi evaluation")
-        vals, _ = refine(
-            lambda level: self._at_level(arr, level, kinds), _LEVELS, _PSI_TOL, "psi z rule"
+    def _evaluate(self, u: np.ndarray, kinds: tuple):
+        """(rows of `kinds` at u, {i: QuadratureError}) for nonempty finite u inside the guard."""
+        vals, levels, failed = refine_each(
+            lambda idx, level: self._at_level(u[idx], level, kinds),
+            len(u), _LEVELS, _PSI_TOL, "psi z rule",
         )
+        self.counts["psi_evaluations_per_level"].update(levels[levels > 0].tolist())
+        return vals, failed
+
+    def _eval(self, u, kinds: tuple):
+        """One array (or float) per kind; a failure raises the first failing element's error."""
+        arr, err = _finite(u, "psi argument u")
+        arg = np.maximum(np.maximum(arr, 0.0) * self._arg_hi, np.minimum(arr, 0.0) * self._arg_lo)
+        over = np.flatnonzero(arg > EXP_ARG_LIMIT)
+        stop = over[0] if over.size else len(arr)
+        vals, failed = (np.empty((len(kinds), 0)), {})
+        if stop:
+            vals, failed = self._evaluate(arr[:stop], kinds)
+        if failed:
+            raise failed[min(failed)]
+        if over.size:
+            check_exp_bound(float(arg[stop]), "psi evaluation")
+        if err is not None:
+            raise err
         if np.ndim(u) == 0:
             return [float(v[0]) for v in vals]
         return [v.reshape(np.shape(u)) for v in vals]
+
+    def _solve(self, t: np.ndarray):
+        """(u, {i: error}) with psi'(u_i) = t_i for finite t, every t in lockstep.
+
+        Each t takes the steps `inverse_prime` documents, as alone; a step
+        evaluates psi' (bracket search) or psi' and psi'' (Newton) at every
+        open t in one call, and a t that fails leaves the batch.
+        """
+        n = len(t)
+        u, lo, hi, prev = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
+        failed = {}
+        if not self.signed_kernel:
+            for i in np.flatnonzero(t <= 0.0):
+                failed[int(i)] = ValueError(
+                    "psi' has range (0, inf) for kernels with no negative part; "
+                    f"target {t[i]} is outside"
+                )
+        tol = _ROOT_TOL + 4.0 * np.abs(t) * np.finfo(float).eps
+
+        def evaluate(idx, at, kinds):
+            vals, bad = self._evaluate(at[idx], kinds)
+            failed.update((int(idx[j]), exc) for j, exc in bad.items())
+            keep = np.isin(np.arange(len(idx)), list(bad), invert=True)
+            return idx[keep], vals[:, keep]
+
+        # double u from 0 toward the target, up to the exp guard (and 1e18 below)
+        rise = t > self.prime_at_zero
+        cap_hi = EXP_ARG_LIMIT / self._arg_hi if self._arg_hi > 0 else math.inf
+        cap_lo = min(EXP_ARG_LIMIT / -self._arg_lo if self._arg_lo < 0 else math.inf, 1e18)
+        cap = np.where(rise, cap_hi, cap_lo)
+        sign = np.where(rise, 1.0, -1.0)
+        cur = sign.copy()
+        newton = np.zeros(n, dtype=bool)
+        idx = np.flatnonzero(np.abs(self.prime_at_zero - t) > tol)
+        idx = idx[np.isin(idx, list(failed), invert=True)]
+        for _ in range(200):
+            beyond = np.abs(cur[idx]) > cap[idx]
+            for i in idx[beyond]:
+                past = "the exp overflow guard" if rise[i] else "the search budget"
+                failed[int(i)] = RootFindError(f"target {t[i]:.6g} needs u beyond {past}")
+            idx = idx[~beyond]
+            if not idx.size:
+                break
+            idx, (prime,) = evaluate(idx, cur, ("prime",))
+            hit = sign[idx] * (prime - t[idx]) >= 0.0
+            done = idx[hit]
+            lo[done] = np.minimum(prev[done], cur[done])
+            hi[done] = np.maximum(prev[done], cur[done])
+            newton[done] = True
+            idx = idx[~hit]
+            prev[idx], cur[idx] = cur[idx], cur[idx] * 2.0
+            self.counts["bracket_doublings"] += len(idx)
+        for i in idx:
+            side = "upper" if rise[i] else "lower"
+            failed[int(i)] = RootFindError(f"bracket search exhausted ({side} branch)")
+
+        idx = np.flatnonzero(newton)
+        u[idx] = 0.5 * (lo[idx] + hi[idx])
+        for _ in range(100):
+            if not idx.size:
+                break
+            self.counts["newton_steps"] += len(idx)
+            idx, (prime, second) = evaluate(idx, u, ("prime", "second"))
+            f = prime - t[idx]
+            miss = np.abs(f) > tol[idx]
+            idx, f, second = idx[miss], f[miss], second[miss]
+            above = f > 0
+            hi[idx[above]] = u[idx[above]]
+            lo[idx[~above]] = u[idx[~above]]
+            cand = u[idx] - f / second
+            bisect = ~((lo[idx] < cand) & (cand < hi[idx]))
+            cand[bisect] = 0.5 * (lo[idx[bisect]] + hi[idx[bisect]])
+            u[idx] = cand
+        for i in idx:
+            failed[int(i)] = RootFindError(
+                f"Newton iteration for psi'(u) = {t[i]:.6g} did not converge"
+            )
+        return u, failed
 
     # -- public surface ----------------------------------------------------
 
@@ -230,76 +395,68 @@ class PsiEvaluator:
     def signed_kernel(self) -> bool:
         return self.kernel.negative_support_measure > 0.0
 
-    def inverse_prime(self, t: float) -> float:
-        """Solve psi'(u) = t by bracketed Newton with bisection fallback.
+    def inverse_prime(self, t):
+        """Solve psi'(u) = t by bracketed Newton with bisection fallback, for a float or an array.
 
-        Terminates when |psi'(u) - t| <= `_ROOT_TOL` (plus a 4-ulp relative
-        cushion so very large targets remain solvable).  Raises
-        RootFindError if the bracket search or the iteration exhausts its
-        budget, and ValueError for targets outside the range of psi'.
+        From u = 0, u doubles toward the target until psi' - t changes sign
+        (up to the exp guard above psi'(0), 1e18 below); Newton steps from
+        the bracket's midpoint then fall back to bisection when they leave
+        the bracket.  Terminates when |psi'(u) - t| <= `_ROOT_TOL` (plus a
+        4-ulp relative cushion so very large targets remain solvable).
+        Raises RootFindError if the bracket search or the iteration exhausts
+        its budget, and ValueError for targets outside the range of psi'.
         """
-        t = float(t)
-        if not self.signed_kernel and t <= 0.0:
-            raise ValueError(
-                "psi' has range (0, inf) for kernels with no negative part; "
-                f"target {t} is outside"
-            )
-        tol = _ROOT_TOL + 4.0 * abs(t) * np.finfo(float).eps
-        t0 = self.prime_at_zero
-        if abs(t0 - t) <= tol:
-            return 0.0
-        # double u from 0 toward the target, up to the exp guard (and 1e18 below)
-        if t > t0:
-            sign, side, beyond = 1.0, "upper", "the exp overflow guard"
-            cap = EXP_ARG_LIMIT / self._arg_hi if self._arg_hi > 0 else math.inf
-        else:
-            sign, side, beyond = -1.0, "lower", "the search budget"
-            cap = min(EXP_ARG_LIMIT / -self._arg_lo if self._arg_lo < 0 else math.inf, 1e18)
-        prev, cur = 0.0, sign
-        for _ in range(200):
-            if abs(cur) > cap:
-                raise RootFindError(f"target {t:.6g} needs u beyond {beyond}")
-            if sign * (self.psi_prime(cur) - t) >= 0.0:
-                lo, hi = sorted((prev, cur))
-                break
-            prev, cur = cur, cur * 2.0
-        else:
-            raise RootFindError(f"bracket search exhausted ({side} branch)")
-        u = 0.5 * (lo + hi)
-        for _ in range(100):
-            prime, second = self._eval(u, ("prime", "second"))
-            f = prime - t
-            if abs(f) <= tol:
-                return u
-            if f > 0:
-                hi = u
-            else:
-                lo = u
-            step = f / second
-            cand = u - step
-            if not (lo < cand < hi):
-                cand = 0.5 * (lo + hi)
-            u = cand
-        raise RootFindError(f"Newton iteration for psi'(u) = {t:.6g} did not converge")
+        arr, err = _finite(t, "target t")
+        u, failed = self._solve(arr)
+        if failed:
+            raise failed[min(failed)]
+        if err is not None:
+            raise err
+        return float(u[0]) if np.ndim(t) == 0 else u.reshape(np.shape(t))
 
-    def legendre(self, t: float) -> RateValue:
+    def legendre(self, t):
         """The convex conjugate I(t) = sup_u (u t - psi(u)) with branch logic.
 
-        Short-circuits the non-finite branches before any root-finding:
-        for kernels with lambda{K < 0} = 0, I is +inf on t < 0 and equals
-        lambda{K > 0}/(1 - a d) at t = 0.
+        A float gives a RateValue and an array a list of them.  Short-circuits
+        the non-finite branches before any root-finding: for kernels with
+        lambda{K < 0} = 0, I is +inf on t < 0 and equals lambda{K > 0}/(1 - a d)
+        at t = 0.  The other t are solved together (`inverse_prime`), and
+        their psi values are one `psi` call.
         """
-        t = float(t)
-        if not self.signed_kernel:
-            if t < 0.0:
-                return RateValue.infinite()
-            if t == 0.0:
-                lam = self.kernel.positive_support_measure
-                if math.isinf(lam):
-                    return RateValue.infinite()
-                return RateValue.of(lam / (1.0 - self.ad))
-        u = self.inverse_prime(t)
-        return RateValue.of(t * u - self.psi(u))
+        arr, err = _finite(t, "target t")
+        out = [None] * len(arr)
+        solve = np.ones(len(arr), dtype=bool) if self.signed_kernel else arr > 0.0
+        if not solve.all():
+            lam = self.kernel.positive_support_measure
+            at_zero = RateValue.infinite()
+            if math.isfinite(lam):
+                at_zero = RateValue.of(lam / (1.0 - self.ad))
+            for i in np.flatnonzero(~solve):
+                out[i] = RateValue.infinite() if arr[i] < 0.0 else at_zero
+        need = np.flatnonzero(solve)
+        u, failed = self._solve(arr[need])
+        stop = min(failed, default=len(need))
+        if stop:
+            vals = arr[need[:stop]] * u[:stop] - self.psi(u[:stop])
+            for i, v in zip(need[:stop], vals.tolist()):
+                out[i] = RateValue.of(v)
+        if failed:
+            raise failed[stop]
+        if err is not None:
+            raise err
+        return out[0] if np.ndim(t) == 0 else out
+
+
+def _finite(x, what: str):
+    """x as a flat float64 array up to its first non-finite element, and that element's ValueError.
+
+    The error is None when every element is finite.
+    """
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if not bad.size:
+        return arr, None
+    return arr[: bad[0]], ValueError(f"{what} must be finite; got {arr[bad[0]]}")
 
 
 def pointwise_rate_density(psi_ev: PsiEvaluator, f_x: float, t: float) -> RateValue:

@@ -134,6 +134,14 @@ def test_vector_u_matches_scalars():
     assert_allclose(vec, scal, rtol=1e-12)
 
 
+def test_limit_over_a_u_array_equals_scalar_calls():
+    # the cgf_ldp golden's pair, and u values whose psi levels differ
+    spec = _spec(c=0.3)
+    for us in ([0.5, 1.0], [-300.0, -2.0, 0.5, 1.0, 40.0]):
+        vec = cgf_limit(spec, np.array(us))
+        np.testing.assert_array_equal(vec, [cgf_limit(spec, u) for u in us])
+
+
 def test_finite_n_is_convex_in_u():
     spec = _spec()
     us = np.linspace(-2.0, 2.0, 9)

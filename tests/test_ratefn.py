@@ -1,10 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_limit
@@ -111,16 +112,115 @@ def test_psi_negative_saturation_compact_support():
 
 
 def test_psi_vectorized_matches_scalar():
+    # each point of a vectorised call is accepted at its own level, so each
+    # of 401 points across the sign change equals its own call bit for bit
     cases = [
-        (GAUSS, np.array([-2.0, -0.3, 0.0, 0.7, 1.9]), 1e-12, 0.0),
-        # a vectorised call accepts a level only where every point agrees,
-        # so each of 401 points across the sign change matches its own call
-        (_signed_kernel(), np.linspace(-8.0, 4.0, 401), 1e-10, 1e-10),
+        (GAUSS, np.array([-2.0, -0.3, 0.0, 0.7, 1.9])),
+        (_signed_kernel(), np.linspace(-8.0, 4.0, 401)),
     ]
-    for kernel, us, rtol, atol in cases:
+    for kernel, us in cases:
         ev = PsiEvaluator(kernel, 0.3)
         vec = ev.psi(us)
-        assert_allclose(vec, [float(ev.psi(float(u))) for u in us], rtol=rtol, atol=atol)
+        assert_array_equal(vec, [float(ev.psi(float(u))) for u in us])
+
+
+def test_psi_of_a_pair_equals_each_alone():
+    # a call-wide acceptance rule took -300 at level 5 beside u = 40, whose
+    # psi of 6e8 set the tolerance; alone it needs level 6
+    ev = PsiEvaluator(GAUSS, 0.3)
+    assert ev.psi(np.array([-300.0, 40.0])).tolist() == [ev.psi(-300.0), ev.psi(40.0)]
+    assert ev.psi(-300.0) == -9.22049673184089
+
+
+def test_one_node_series_sums_as_alone():
+    # at u = -5e16 only the edge node with c K = 6.7e-16 falls in the near
+    # branch at levels 3 and 4 (the rest are far, or K = 0): its series block
+    # is (16, 1), which numpy sums pairwise, unlike a column of a wider block
+    ev = PsiEvaluator(EPAN, 0.25)
+    us = np.array([-5e16, -3.0, 1.0])
+    for f in (ev.psi, ev.psi_prime, ev.psi_second):
+        assert f(us).tolist() == [f(float(u)) for u in us]
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_equal_case(name):
+    return {
+        "gaussian": (PsiEvaluator(GAUSS, 0.3), (-30.0, 6.0), (-0.5, 3.0)),
+        "epanechnikov": (PsiEvaluator(EPAN, 0.25), (-200.0, 15.0), (-0.5, 3.0)),
+        "signed": (PsiEvaluator(_signed_kernel(), 0.3), (-30.0, 8.0), (-1.0, 3.0)),
+        # level 4 holds 139^2 nodes in d = 2: five node chunks per u
+        "epanechnikov_2d": (
+            PsiEvaluator(builtin_kernel("epanechnikov", 2), 0.2), (-20.0, 4.0), (-0.5, 3.0)
+        ),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["epanechnikov", "epanechnikov_2d", "gaussian", "signed"])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_batched_calls_equal_calls_on_each_element(name, data):
+    ev, (u_lo, u_hi), (t_lo, t_hi) = _bit_equal_case(name)
+    small = 3 if name.endswith("2d") else 5
+    us = data.draw(st.lists(st.floats(u_lo, u_hi), min_size=1, max_size=small))
+    for f in (ev.psi, ev.psi_prime, ev.psi_second):
+        assert f(np.array(us)).tolist() == [f(u) for u in us]
+    # points of t grids of step 0.05 that cross t <= 0, where an unsigned
+    # kernel's rate branches (a t > 0 far below 0.05 has no reachable root)
+    steps = st.integers(round(20 * t_lo), round(20 * t_hi))
+    ts = [k / 20 for k in data.draw(st.lists(steps, min_size=1, max_size=small))]
+    rates = ev.legendre(np.array(ts))
+    assert [(r.value, r.finite) for r in rates] == [
+        (r.value, r.finite) for r in (ev.legendre(t) for t in ts)
+    ]
+    solvable = [t for t in ts if ev.signed_kernel or t > 0.0]
+    roots = ev.inverse_prime(np.array(solvable))
+    assert roots.tolist() == [ev.inverse_prime(t) for t in solvable]
+
+
+def test_batched_solve_counts_the_same_work_as_a_loop():
+    ts = np.linspace(-0.5, 3.0, 15)
+    batched, looped = PsiEvaluator(EPAN, 0.25), PsiEvaluator(EPAN, 0.25)
+    batched.legendre(ts)
+    for t in ts:
+        looped.legendre(float(t))
+    assert batched.counts == looped.counts
+    assert batched.counts["newton_steps"] > 0 and batched.counts["bracket_doublings"] > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ev, x: ev.psi(x),
+        lambda ev, x: ev.psi_prime(x),
+        lambda ev, x: ev.psi_second(x),
+        lambda ev, x: ev.inverse_prime(x),
+        lambda ev, x: ev.legendre(x),
+    ],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused_before_any_quadrature(call, bad):
+    ev = PsiEvaluator(GAUSS, 0.3)
+    with pytest.raises(ValueError, match=f"must be finite; got {bad}"):
+        call(ev, bad)
+    assert not ev.counts["psi_evaluations_per_level"]
+    # in a batch, the elements before it still run, as a loop would run them
+    with pytest.raises(ValueError, match=f"must be finite; got {bad}"):
+        call(ev, np.array([1.5, bad, 2.0]))
+    assert sum(ev.counts["psi_evaluations_per_level"].values()) > 0
+
+
+def test_batched_failure_raises_the_first_failing_elements_error():
+    ev = PsiEvaluator(GAUSS, 0.3)
+    for call, first_bad in (
+        (ev.legendre, 1e300),  # past the exp guard: RootFindError
+        (ev.inverse_prime, -1.0),  # outside the range of psi': ValueError
+        (ev.psi, 1e4),  # past the exp guard: OverflowGuardError
+    ):
+        with pytest.raises(Exception) as alone:
+            call(first_bad)
+        with pytest.raises(type(alone.value)) as batched:
+            call(np.array([1.5, first_bad, math.nan, 2e300]))
+        assert str(batched.value) == str(alone.value)
 
 
 def test_values_do_not_depend_on_call_history():
