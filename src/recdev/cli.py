@@ -388,6 +388,7 @@ def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec, ts: np.ndarray):
         "t_grid": cfg.t_grid,
         "rows": len(rows),
         "finite_entries": sum(1 for rv in values if rv.finite),
+        "counters": psi.counts,
     }
     return header, rows, summary
 

@@ -246,6 +246,28 @@ def test_rate_table_marks_infinite_entries(tmp_path):
     assert summary["overrides"] == {"bandwidth_a": 0.3, "t_grid": "-0.5:2:0.5"}
 
 
+def test_rate_counters_sum_over_t(tmp_path):
+    # one table solved at once counts what its rows solved one by one count
+    def rate(grid, out):
+        assert cli.main(["rate", "--t-grid", grid, "--a", "0.25", "--out", str(out)]) == 0
+        return (out / "rate.csv").read_text().splitlines()[1:], json.loads(
+            (out / "rate.json").read_text()
+        )["counters"]
+
+    rows, counters = rate("0:2:0.5", tmp_path / "all")
+    total = {"bracket_doublings": 0, "newton_steps": 0, "psi_evaluations_per_level": {}}
+    for i, t in enumerate((0.0, 0.5, 1.0, 1.5, 2.0)):
+        row, c = rate(f"{t}:{t}:1", tmp_path / str(i))
+        assert row == [rows[i]]
+        total["bracket_doublings"] += c["bracket_doublings"]
+        total["newton_steps"] += c["newton_steps"]
+        for level, count in c["psi_evaluations_per_level"].items():
+            levels = total["psi_evaluations_per_level"]
+            levels[level] = levels.get(level, 0) + count
+    assert counters == total
+    assert counters["newton_steps"] > 0
+
+
 def test_cgf_exit_zero_when_gaps_shrink(tmp_path, capsys):
     path = _write_cfg(
         tmp_path, bandwidth_c=0.3, u_values=[0.5, 1.0], n_list=[100, 1000]
