@@ -211,15 +211,15 @@ def test_non_finite_input_is_refused_before_any_quadrature(call, bad):
 
 def test_batched_failure_raises_the_first_failing_elements_error():
     ev = PsiEvaluator(GAUSS, 0.3)
-    for call, first_bad in (
-        (ev.legendre, 1e300),  # past the exp guard: RootFindError
-        (ev.inverse_prime, -1.0),  # outside the range of psi': ValueError
-        (ev.psi, 1e4),  # past the exp guard: OverflowGuardError
+    for call, first_bad, second_bad in (
+        (ev.legendre, 1e300, 2e300),  # past the exp guard: RootFindError
+        (ev.inverse_prime, -1.0, 2e300),  # outside the range of psi': ValueError
+        (ev.psi, 1e4, 2e4),  # past the exp guard: OverflowGuardError
     ):
         with pytest.raises(Exception) as alone:
             call(first_bad)
         with pytest.raises(type(alone.value)) as batched:
-            call(np.array([1.5, first_bad, math.nan, 2e300]))
+            call(np.array([1.5, first_bad, second_bad, math.nan]))
         assert str(batched.value) == str(alone.value)
 
 
