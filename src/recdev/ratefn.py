@@ -317,7 +317,8 @@ class PsiEvaluator:
         def evaluate(idx, at, kinds):
             vals, bad = self._evaluate(at[idx], kinds)
             failed.update((int(idx[j]), exc) for j, exc in bad.items())
-            keep = np.isin(np.arange(len(idx)), list(bad), invert=True)
+            keep = np.ones(len(idx), dtype=bool)
+            keep[list(bad)] = False
             return idx[keep], vals[:, keep]
 
         # double u from 0 toward the target, up to the exp guard (and 1e18 below)
@@ -328,8 +329,9 @@ class PsiEvaluator:
         sign = np.where(rise, 1.0, -1.0)
         cur = sign.copy()
         newton = np.zeros(n, dtype=bool)
-        idx = np.flatnonzero(np.abs(self.prime_at_zero - t) > tol)
-        idx = idx[np.isin(idx, list(failed), invert=True)]
+        todo = np.abs(self.prime_at_zero - t) > tol
+        todo[list(failed)] = False
+        idx = np.flatnonzero(todo)
         for _ in range(200):
             beyond = np.abs(cur[idx]) > cap[idx]
             for i in idx[beyond]:
