@@ -110,12 +110,12 @@ def _series(y: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
     that a (_TERMS, 1) block, the block of a run alone if it has one element,
     sums pairwise; such a run's column is summed that way here too.
     """
-    out, k, buf = np.empty_like(y), 1, np.empty(_TERMS * len(y))
-    idx, tail, term = np.arange(len(y)), np.zeros_like(y), np.ones_like(y)
+    k, buf, tail, term = 1, np.empty(_TERMS * len(y)), np.zeros_like(y), np.ones_like(y)
+    out = idx = None
     while True:
         starts = np.cumsum(counts) - counts
         top = np.maximum.reduceat(y, starts)
-        single = starts[counts == 1] if len(y) > 1 else starts[:0]
+        single = starts[counts == 1] if len(counts) > 1 else starts[:0]
         block = buf[: _TERMS * len(y)].reshape(_TERMS, len(y))
         while True:
             np.multiply.outer(coef(np.arange(k, k + _TERMS)), y, out=block)
@@ -136,6 +136,10 @@ def _series(y: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
             more |= np.logical_or.reduceat(term > 1e-17 * (1.0 + tail), starts)
             if not more.all():
                 break
+        if out is None:
+            if not more.any():
+                return tail
+            out, idx = np.empty_like(tail), np.arange(len(tail))
         out[idx] = tail
         if not more.any():
             return out
