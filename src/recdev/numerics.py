@@ -13,10 +13,11 @@ Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly
 doubles the node count, and the difference between two consecutive levels is
 used as the error estimate.  `refine` compares levels for a whole call and
-`refine_each` element by element; `agrees` is the one acceptance rule:
-absolute for values below 1, relative above.  A quantity that cannot meet its
-tolerance within the level budget raises QuadratureError rather than
-returning a silent best-effort value.
+`refine_each` element by element; `within` is the one acceptance rule,
+absolute for values below 1 and relative above, and `agrees` applies it to
+a whole call.  A quantity that cannot meet its tolerance within the level
+budget raises QuadratureError rather than returning a silent best-effort
+value.
 
 `_fold` is the one compensated sum (Neumaier, ZAMM 54, 1974) behind
 `NeumaierSum` and `compensated_cumsum`.
@@ -150,9 +151,14 @@ def tanh_sinh(a: float, b: float, level: int):
     return x, w * scale
 
 
+def within(gap, scale, tol: float):
+    """gap <= tol * max(1, scale), elementwise: absolute below 1, relative above."""
+    return gap <= tol * np.maximum(1.0, scale)
+
+
 def agrees(gap, value, tol: float) -> bool:
-    """max(gap) <= tol * max(1, max|value|): absolute below 1, relative above."""
-    return float(np.max(gap)) <= tol * max(1.0, float(np.max(np.abs(value))))
+    """`within` on a whole call: its largest gap against its largest |value|."""
+    return bool(within(np.max(gap), np.max(np.abs(value)), tol))
 
 
 def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str):
@@ -182,8 +188,8 @@ def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
 
     `at_level(idx, level)` evaluates the elements `idx` (an index array) at
     one level as an array (..., len(idx)).  Element i is accepted at the
-    first level where its column passes `agrees` against the level before,
-    and only the elements still open are evaluated at the next level, so an
+    first level where its column is `within` tol of the level before, and
+    only the elements still open are evaluated at the next level, so an
     element's value and level do not depend on the others in the call.
     Returns the values (..., n), each element's accepted level (0 if none)
     and {i: QuadratureError} for the elements that ran out of `levels`.
@@ -196,8 +202,7 @@ def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
             val = np.empty(cur.shape[:-1] + (n,))
         else:
             gap = np.abs(cur - prev).reshape(-1, len(idx)).max(axis=0)
-            scale = np.abs(cur).reshape(-1, len(idx)).max(axis=0)
-            ok = gap <= tol * np.maximum(1.0, scale)
+            ok = within(gap, np.abs(cur).reshape(-1, len(idx)).max(axis=0), tol)
             done = idx[ok]
             val[..., done] = cur[..., ok]
             accepted[done] = level

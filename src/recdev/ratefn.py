@@ -93,59 +93,41 @@ _ROOT_TOL = 1e-10
 # series blocks of _TERMS terms on BLOCK_ENTRIES // _TERMS (u, z) pairs, so
 # the temporaries stay within the block budget whatever len(u), d or level
 _TERMS = 16
-# series blocks at least this wide take np.cumprod's products row by row: on
-# a 2-vCPU x86 host its scan down axis 0 costs about 70 ns per column, and the
-# 15 row multiplies about 15 us in all
-_WIDE = 256
 _SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
 
 
-def _series(y: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
+def _series(y: np.ndarray, starts: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
     """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for nonempty y >= 0.
 
-    y is a run of counts[j] > 0 elements per u.  _TERMS terms per np.cumprod,
-    until, for each run, k > its max y (the terms fall from there) and its
-    last term is below 1e-17 of 1 + the sum at each of its elements: the
-    rule a call on that run alone applies, so no run's sums depend on the
-    others.  A block's column sums run down its _TERMS rows in order, except
-    that a (_TERMS, 1) block, the block of a run alone if it has one element,
-    sums pairwise; such a run's column is summed that way here too.
+    y holds one run per u, counts[j] elements from starts[j].  _TERMS terms
+    per block, until, for each run, k > its max y (the terms fall from there)
+    and its last term is below 1e-17 of 1 + the sum at each of its elements:
+    the rule a call on that run alone applies.  A run that stops keeps its
+    sums while the others go on, so no run's sums depend on the others.  A
+    block's column sums run down its _TERMS rows in order, except that a
+    (_TERMS, 1) block, the block of a run alone if it has one element, sums
+    pairwise; such a run's column is summed that way here too.
     """
-    k, buf, tail, term = 1, np.empty(_TERMS * len(y)), np.zeros_like(y), np.ones_like(y)
-    out = idx = None
+    top = np.maximum.reduceat(y, starts)
+    single = starts[counts == 1] if len(starts) > 1 else starts[:0]
+    block = np.empty((_TERMS, len(y)))
+    rows = list(block)
+    k, tail, term = 1, np.zeros(len(y)), 1.0
+    live, open_ = np.ones(len(starts), dtype=bool), True
     while True:
-        starts = np.cumsum(counts) - counts
-        top = np.maximum.reduceat(y, starts)
-        single = starts[counts == 1] if len(counts) > 1 else starts[:0]
-        block = buf[: _TERMS * len(y)].reshape(_TERMS, len(y))
-        while True:
-            np.multiply.outer(coef(np.arange(k, k + _TERMS)), y, out=block)
-            if len(y) < _WIDE:
-                np.cumprod(block, axis=0, out=block)
-            else:  # the same products, one row at a time
-                for i in range(1, _TERMS):
-                    np.multiply(block[i - 1], block[i], out=block[i])
-            block *= term
-            sums = block.sum(axis=0)
-            if single.size:
-                sums[single] = np.ascontiguousarray(block[:, single].T).sum(axis=1)
-            tail += sums
-            term, k = block[-1].copy(), k + _TERMS
-            more = k <= top
-            if more.all():
-                continue
-            more |= np.logical_or.reduceat(term > 1e-17 * (1.0 + tail), starts)
-            if not more.all():
-                break
-        if out is None:
-            if not more.any():
-                return tail
-            out, idx = np.empty_like(tail), np.arange(len(tail))
-        out[idx] = tail
-        if not more.any():
-            return out
-        keep = np.repeat(more, counts)
-        idx, y, tail, term, counts = idx[keep], y[keep], tail[keep], term[keep], counts[more]
+        np.multiply.outer(coef(np.arange(k, k + _TERMS)), y, out=block)
+        for prev, row in zip(rows, rows[1:]):  # the running products, in order
+            np.multiply(prev, row, out=row)
+        block *= term
+        sums = block.sum(axis=0)
+        if single.size:
+            sums[single] = np.ascontiguousarray(block[:, single].T).sum(axis=1)
+        np.add(tail, sums, out=tail, where=open_)
+        term, k = rows[-1].copy(), k + _TERMS
+        live &= (k <= top) | np.logical_or.reduceat(term > 1e-17 * (1.0 + tail), starts)
+        if not live.any():
+            return tail
+        open_ = live.repeat(counts)
 
 
 def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
@@ -164,21 +146,24 @@ def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
     near = ~(far | up)
     if far.any():
         out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
-    if up.any():
-        tail = _series(A[up], _runs(up), lambda k: (b + k - 1.0) / (k * (b + k)))
+    starts, counts = _runs(up)
+    if counts.size:
+        tail = _series(A[up], starts, counts, lambda k: (b + k - 1.0) / (k * (b + k)))
         out[up] = (tail + (1.0 - h)) / b
-    if near.any():
+    starts, counts = _runs(near)
+    if counts.size:
         x = -A[near]
         e = np.exp(-x)
-        tail = _series(x, _runs(near), lambda k: 1.0 / (b + k))
+        tail = _series(x, starts, counts, lambda k: 1.0 / (b + k))
         out[near] = (e * tail + (np.expm1(-x) if excess else e)) / b
     return out
 
 
-def _runs(mask: np.ndarray) -> np.ndarray:
-    """The nonzero per-row counts of a 2-d mask: the runs of mask's elements, one per u."""
-    counts = np.count_nonzero(mask, axis=1)
-    return counts[counts > 0]
+def _runs(mask: np.ndarray):
+    """(starts, counts) of the runs of a 2-d mask's True elements: one per nonempty row (u)."""
+    counts = mask.sum(axis=1)
+    counts = counts[counts > 0]
+    return counts.cumsum() - counts, counts
 
 
 class PsiEvaluator:
