@@ -23,8 +23,9 @@ sum_{i<=n} F(h_i) for a smooth F of the bandwidth alone (the exact mean of
 the estimator, the finite-n cumulant).  It interpolates F in log h at
 Chebyshev-Lobatto points and sums the interpolant exactly against the
 Chebyshev moments of the sequence, so the number of F evaluations does not
-grow with n; a disagreement between degrees N and 2N above `SUM_TOL` sends
-it back to the direct O(n) sum.
+grow with n.  A degree is accepted only when every column of the sum is
+`numerics.within` `SUM_TOL` of its own value; when no degree is, the sum
+goes back to the direct O(n) sum.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ROW_BLOCK_ENTRIES, NeumaierSum, agrees, as_count, compensated_cumsum
+from .numerics import ROW_BLOCK_ENTRIES, NeumaierSum, as_count, compensated_cumsum, within
 
 BANDWIDTH_KINDS = ("power", "power_log")
 SCALING_KINDS = ("constant_one", "power")
-# a Chebyshev sum is accepted when degrees N and 2N agree to this gap on the
-# caller's scale (the mean, the cumulant), relative once that exceeds 1
+# a Chebyshev sum is accepted when, in every column, degrees N and 2N agree
+# to this gap on the caller's scale (a mean, a cumulant), relative once that
+# column's value exceeds 1
 SUM_TOL = 1e-13
 # first Chebyshev degree compared with its doubling, and the largest tried
 _CHEB_START = 16
@@ -174,13 +176,13 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
     mapped onto [-1, 1]; the points nest, so each doubling of N reuses
     every earlier sample.  The interpolant's coefficients, summed against
     `BandwidthSchedule.chebyshev_moments`, give the sum.  It is accepted
-    when the weighted sums of degrees N and 2N agree to `SUM_TOL` and the
-    upper half of the degree-2N terms, taken unsigned, stays below it too
-    (relative once the sum exceeds 1); the degree-2N value is returned.  F is
-    evaluated at every h_i directly (blocked, compensated) when n is too
-    small for the interpolant to save work, or when the certificate fails
-    before the samples reach n/2, so no input costs more than about 1.5
-    direct sums.
+    when, in every column, the weighted sums of degrees N and 2N agree to
+    `SUM_TOL` and the upper half of the degree-2N terms, taken unsigned,
+    stays below it too (`numerics.within`: relative once that column's sum
+    exceeds 1); the degree-2N value is returned.  F is evaluated at every
+    h_i directly (blocked, compensated) when n is too small for the
+    interpolant to save work, or when the certificate fails before the
+    samples reach n/2, so no input costs more than about 1.5 direct sums.
 
     `entries` is the size of F's temporaries per bandwidth.  Two block
     splits follow from it, and they differ in what they may change:
@@ -221,7 +223,7 @@ def bandwidth_sum(schedule: BandwidthSchedule, n: int, terms, entries: int, weig
             # the upper half of the terms is counted unsigned, so a jump in F
             # whose terms cancel in the signed gap still fails
             gap = np.maximum(np.abs(fine - coarse), np.abs(terms_fine[deg // 2 + 1 :]).sum(axis=0))
-            if agrees(gap, fine, SUM_TOL):
+            if within(gap, np.abs(fine), SUM_TOL).all():
                 return fine
             if 2 * deg > _CHEB_MAX or 2 * deg + 1 > n // 2:
                 break

@@ -19,17 +19,19 @@ the integrated-by-parts form int K(z) (d^alpha f)(x - h_i z) dz, which has
 no h^-|alpha| amplification; it is computed once per n and kept on the
 `CgfSpec`.  Each factor depends on i only through h_i, so the sum over
 i <= n is `bandwidth.bandwidth_sum` (a Chebyshev interpolant in log h,
-certified by two degrees, or the direct sum), and the two quadrature
-levels must agree by `numerics.refine` before a value is returned.
+certified by two degrees, or the direct sum), and at each u the two
+quadrature levels must agree by `numerics.refine_each` before its value is
+returned.
 
 L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
 quadratic u^2 f(x) ||d^alpha K||_2^2 / (2 (1 - a^2 (d+2|alpha|)^2)) in
-every scaled or derivative case.  `CgfSpec.regime` is the one rule that
-tells the two apart.  `CgfSpec.rate` and `CgfSpec.tilt` give the limit's
-conjugate and its maximizer at a density level f: f(x) for pointwise
-statements, sup_U f for the sup over a region U.  `convergence_diagnostic`
-tabulates the finite-n curves against the limit over a grid of u.
+every scaled or derivative case.  `regime_of` is the one rule that tells
+the two apart; `CgfSpec.regime` and the CLI's checks apply it.
+`CgfSpec.rate` and `CgfSpec.tilt` give the limit's conjugate and its
+maximizer at a density level f: f(x) for pointwise statements, sup_U f for
+the sup over a region U.  `convergence_diagnostic` tabulates the finite-n
+curves against the limit over a grid of u.
 """
 
 from __future__ import annotations
@@ -44,13 +46,18 @@ import numpy as np
 from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
-from .numerics import check_exp_bound, refine, sample_sizes
+from .numerics import check_exp_bound, refine_each, sample_sizes
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
 
-# the level-1 and level-2 kernel-support quadratures must agree to this gap,
-# relative once the cumulant exceeds 1
+# the level-1 and level-2 kernel-support quadratures must agree to this gap
+# at each u, relative once that cumulant exceeds 1
 _FINITE_N_TOL = 1e-8
+
+
+def regime_of(scaling_kind: str, alpha_order: int) -> str:
+    """"ldp" for the plain unscaled estimator (constant-one scaling, alpha = 0), else "moderate"."""
+    return "ldp" if scaling_kind == "constant_one" and alpha_order == 0 else "moderate"
 
 
 @dataclass(eq=False)
@@ -85,10 +92,7 @@ class CgfSpec:
 
     @property
     def regime(self) -> str:
-        """"ldp" for the plain unscaled estimator, else "moderate"."""
-        if self.scaling.is_constant_one and self.alpha.order == 0:
-            return "ldp"
-        return "moderate"
+        return regime_of(self.scaling.kind, self.alpha.order)
 
     @functools.cached_property
     def density_at_point(self) -> float:
@@ -175,19 +179,22 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
     The log-MGF sum over i is `bandwidth.bandwidth_sum` of a kernel-support
     quadrature per bandwidth (a Chebyshev interpolant in log h certified by
     two degrees, or the direct sum), and the centring term is the spec's
-    cached exact mean.  The quadrature inside each factor is refined once
-    and the two resolutions of L_n must agree within `_FINITE_N_TOL`,
-    relative once |L_n| exceeds 1 (QuadratureError otherwise).
+    cached exact mean.  The quadrature inside each factor is refined once,
+    and at each u the two resolutions of L_n must agree within
+    `_FINITE_N_TOL`, relative once |L_n(u)| exceeds 1; otherwise the first
+    such u's QuadratureError is raised.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scalar = np.isscalar(u) or np.ndim(u) == 0
     centring = arr * spec.scaling.value(n) * spec.mean(n)
-    out, _ = refine(
-        lambda level: _finite_n_at_level(spec, arr, n, level) - centring,
-        (1, 2), _FINITE_N_TOL, "finite-n cumulant quadrature",
+    out, _, failed = refine_each(
+        lambda idx, level: _finite_n_at_level(spec, arr[idx], n, level) - centring[idx],
+        len(arr), (1, 2), _FINITE_N_TOL, "finite-n cumulant quadrature",
     )
+    if failed:
+        raise failed[min(failed)]
     return float(out[0]) if scalar else out.reshape(np.shape(u))
 
 

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, ScalingSequence
-from .cgf import CgfSpec, convergence_diagnostic
+from .cgf import CgfSpec, convergence_diagnostic, regime_of
 from .densities import build_density
 from .deviations import (
     FINAL_GAP_FRACTION,
@@ -100,15 +100,11 @@ class ExperimentConfig:
     m_q: Optional[float] = None
     out: str = "."
 
-    def regime(self) -> str:
-        """"ldp" for the plain unscaled estimator, else "mdp"."""
-        return "ldp" if self.scaling_kind == "constant_one" and sum(self.alpha) == 0 else "mdp"
-
     def run_kind(self) -> str:
         """The run simulate makes, from region, xi and the regime; mode never switches it."""
         if self.region is not None:
             return "uniform_unbounded" if self.xi is not None else "uniform_bounded"
-        return self.regime()
+        return "ldp" if regime_of(self.scaling_kind, sum(self.alpha)) == "ldp" else "mdp"
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -243,8 +239,8 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             bad.append(f"(H3): a must be positive so the bandwidth shrinks; got a={a:g}")
         elif a * k >= 1:
             bad.append(f"(H3): a < 1/(d+2|alpha|)=1/{k}; got a={a:g}")
-    if needs_theory and cfg.regime() == "ldp" and cfg.bandwidth_kind != "power":
-        bad.append("(H2): LDP density case requires h_n=cn^{-a}")
+        if cfg.bandwidth_kind != "power" and regime_of(cfg.scaling_kind, sum(cfg.alpha)) == "ldp":
+            bad.append("(H2): LDP density case requires h_n=cn^{-a}")
     uniform = simulate and cfg.region is not None
     if subcommand in ("cgf", "simulate", "chernoff") and cfg.scaling_kind == "power":
         bound = (1 - a * k) / 2

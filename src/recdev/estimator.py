@@ -26,8 +26,9 @@ uniform bias bound used in convergence studies.  The exact mean is a
 kernel-support quadrature per bandwidth, summed over i <= n by
 `bandwidth.bandwidth_sum`: a Chebyshev interpolant in log h whose cost does
 not grow with n, certified by comparing two polynomial degrees and falling
-back to the direct sum when that certificate fails; two quadrature levels
-must then agree by `numerics.refine` before a mean is returned.
+back to the direct sum when that certificate fails; each point's two
+quadrature levels must then agree by `numerics.refine_each` before its mean
+is returned.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .kernels import (
     kernel_quadrature,
     norm_moment,
 )
-from .numerics import BLOCK_ENTRIES, NeumaierSum, refine
+from .numerics import BLOCK_ENTRIES, NeumaierSum, refine_each
 
-# two quadrature levels of the exact mean must agree to this gap, relative
-# once the mean exceeds 1
+# two quadrature levels of each point's exact mean must agree to this gap,
+# relative once that mean exceeds 1
 _MEAN_TOL = 1e-9
 
 
@@ -255,10 +256,11 @@ def expected_estimate(
     is a kernel-support quadrature and depends on i only through h_i, so
     the sum over i is `bandwidth.bandwidth_sum`: a Chebyshev interpolant in
     log h certified by two degrees, or the direct sum when that does not
-    pay or does not converge.  The quadrature is refined once, and the two
-    levels must agree within `_MEAN_TOL`, relative once the mean exceeds 1;
-    disagreement raises QuadratureError rather than returning a doubtful
-    mean.  Returns one value per point, shape (m,).
+    pay or does not converge.  The quadrature is refined once, and at each
+    point the two levels must agree within `_MEAN_TOL`, relative once that
+    mean exceeds 1; disagreement raises the first such point's
+    QuadratureError rather than returning a doubtful mean.  Returns one
+    value per point, shape (m,).
     """
     mi = as_multi_index(alpha, kernel.dimension)
     pts, _ = as_points(points, kernel.dimension)
@@ -269,22 +271,26 @@ def expected_estimate(
     # within the temporary budget whatever d and the point count
     kstep = max(1, SUM_BLOCK_ENTRIES // (m * d))
 
-    def at_level(level):
+    def at_level(idx, level):
         y, w = kernel_quadrature(kernel, level=level)
         wk = w * kernel.partial_fn(None)(y)
+        at = pts[idx]
 
         def terms(hb):
-            rows = np.zeros((len(hb), m))
+            rows = np.zeros((len(hb), len(at)))
             for k0 in range(0, len(y), kstep):
                 yk = y[k0 : k0 + kstep]
-                args = pts[None, None, :, :] - hb[:, None, None, None] * yk[None, :, None, :]
+                args = at[None, None, :, :] - hb[:, None, None, None] * yk[None, :, None, :]
                 g = density.partial(mi.components, args.reshape(-1, d))
-                rows += np.einsum("k,bkm->bm", wk[k0 : k0 + kstep], g.reshape(len(hb), len(yk), m))
+                rows += np.einsum("k,bkm->bm", wk[k0 : k0 + kstep], g.reshape(len(hb), len(yk), -1))
             return rows
 
-        return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * m * d, 1.0 / n)
+        return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * len(at) * d, 1.0 / n)
 
-    return refine(at_level, (1, 2), _MEAN_TOL, "mean-estimate quadrature")[0]
+    out, _, failed = refine_each(at_level, m, (1, 2), _MEAN_TOL, "mean-estimate quadrature")
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def bias_normalizer(schedule: BandwidthSchedule, q: int, n: int) -> float:

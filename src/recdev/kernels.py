@@ -36,9 +36,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import as_count, gauss_legendre_panels, refine
+from .numerics import as_count, gauss_legendre_panels, refine_each
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# two panel doublings of a custom kernel's constant must agree to this gap,
+# relative once the constant exceeds 1
+_TENSOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -316,19 +319,22 @@ class KernelModel:
 
 
 def _tensor_integral(f, d: int, radius: float) -> float:
-    """Tensor Gauss-Legendre integral over [-radius, radius]^d; `refine` doubles the panels."""
+    """Tensor Gauss-Legendre integral over [-radius, radius]^d; `refine_each` doubles the panels."""
     if d > 3:
         raise ValueError(
             "tensor quadrature beyond d = 3 is not supported; "
             "use a product kernel or supply the constant"
         )
 
-    def at_level(level):
+    def at_level(_, level):
         panels = (4 if radius > 2 else 2) * 2**level
         pts, ws = tensor_rule(*gauss_legendre_panels(-radius, radius, panels, order=12), d)
-        return float(np.dot(ws, f(pts)))
+        return np.array([np.dot(ws, f(pts))])
 
-    return refine(at_level, range(6), 1e-10, f"tensor integral in d={d}")[0]
+    out, _, failed = refine_each(at_level, 1, range(6), _TENSOR_TOL, f"tensor integral in d={d}")
+    if failed:
+        raise failed[0]
+    return float(out[0])
 
 
 def kernel_quadrature(model: KernelModel, level: int = 0):

@@ -12,12 +12,11 @@ Two node families cover every integral in the package:
 Both are exposed as plain (nodes, weights) arrays so callers can evaluate
 vectorised integrands, and both support level refinement: level L+1 roughly
 doubles the node count, and the difference between two consecutive levels is
-used as the error estimate.  `refine` compares levels for a whole call and
-`refine_each` element by element; `within` is the one acceptance rule,
-absolute for values below 1 and relative above, and `agrees` applies it to
-a whole call.  A quantity that cannot meet its tolerance within the level
-budget raises QuadratureError rather than returning a silent best-effort
-value.
+used as the error estimate.  `refine_each` is the one level loop: it accepts
+each element of a call at its own first level whose gap to the level before
+is `within` tolerance, the one acceptance rule, absolute for values below 1
+and relative above.  An element that cannot meet its tolerance within the
+level budget gets a QuadratureError rather than a silent best-effort value.
 
 `_fold` is the one compensated sum (Neumaier, ZAMM 54, 1974) behind
 `NeumaierSum` and `compensated_cumsum`.
@@ -156,35 +155,8 @@ def within(gap, scale, tol: float):
     return gap <= tol * np.maximum(1.0, scale)
 
 
-def agrees(gap, value, tol: float) -> bool:
-    """`within` on a whole call: its largest gap against its largest |value|."""
-    return bool(within(np.max(gap), np.max(np.abs(value)), tol))
-
-
-def refine(at_level: Callable[[int], np.ndarray], levels, tol: float, what: str):
-    """(value, level) at the first of `levels` that agrees with the one before.
-
-    `at_level(level)` evaluates the quantity (a float or an array) at one
-    quadrature level; the finer of the first two consecutive levels that
-    pass `agrees` is returned with its level.  Running out of `levels`
-    raises QuadratureError naming `what`.
-    """
-    val = None
-    for level in levels:
-        prev, val = val, at_level(level)
-        if prev is not None and agrees(np.abs(val - prev), val, tol):
-            return val, level
-    raise _gave_up(what, tol, level, float(np.max(np.abs(val - prev))))
-
-
-def _gave_up(what: str, tol: float, level: int, delta: float) -> QuadratureError:
-    return QuadratureError(
-        f"{what} did not reach tol {tol:g} by level {level} (last two-level delta {delta:.3g})"
-    )
-
-
 def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
-    """`refine` for each of n elements on its own: (values, levels, failures).
+    """Refine each of n elements on its own: (values, levels, failures).
 
     `at_level(idx, level)` evaluates the elements `idx` (an index array) at
     one level as an array (..., len(idx)).  Element i is accepted at the
@@ -192,7 +164,8 @@ def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
     only the elements still open are evaluated at the next level, so an
     element's value and level do not depend on the others in the call.
     Returns the values (..., n), each element's accepted level (0 if none)
-    and {i: QuadratureError} for the elements that ran out of `levels`.
+    and {i: QuadratureError naming `what` and the last two-level gap} for
+    the elements that ran out of `levels`.
     """
     idx, prev = np.arange(n), None
     accepted = np.zeros(n, dtype=int)
@@ -210,7 +183,12 @@ def refine_each(at_level: Callable, n: int, levels, tol: float, what: str):
                 return val, accepted, {}
             idx, cur, gap = idx[~ok], cur[..., ~ok], gap[~ok]
         prev = cur
-    return val, accepted, {int(i): _gave_up(what, tol, level, float(g)) for i, g in zip(idx, gap)}
+    return val, accepted, {
+        int(i): QuadratureError(
+            f"{what} did not reach tol {tol:g} by level {level} (last two-level delta {g:.3g})"
+        )
+        for i, g in zip(idx, gap)
+    }
 
 
 def two_sum_error(a, s, b):

@@ -22,11 +22,11 @@ I is finite everywhere.  I vanishes exactly at t = psi'(0).
 Numerics: the s-integral is in closed form, so psi and its derivatives need
 one rule, in z: tanh-sinh on (0, r)^d, folded since the kernel is even,
 whose nodes crowd the support edges where very negative u puts the exp
-boundary layer; `numerics.refine_each` raises each u's level until it agrees
-with the level before.  The conjugate inverts psi' by bracketed Newton
-safeguarded by bisection, for a whole t grid in lockstep.  Every value is a
-function of its own input: an element of a batched call equals, bit for
-bit, a call on that element alone.
+boundary layer; `numerics.refine_each` raises each u's level until that u
+is `numerics.within` `_PSI_TOL` of its value at the level before.  The
+conjugate inverts psi' by bracketed Newton safeguarded by bisection, for a
+whole t grid in lockstep.  Every value is a function of its own input: an
+element of a batched call equals, bit for bit, a call on that element alone.
 """
 
 from __future__ import annotations
@@ -96,38 +96,31 @@ _TERMS = 16
 _SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
 
 
-def _series(y: np.ndarray, starts: np.ndarray, counts: np.ndarray, coef) -> np.ndarray:
+def _series(y: np.ndarray, coef) -> np.ndarray:
     """sum_(k >= 1) t_k, t_0 = 1, t_k = t_(k-1) y coef(k), elementwise for nonempty y >= 0.
 
-    y holds one run per u, counts[j] elements from starts[j].  _TERMS terms
-    per block, until, for each run, k > its max y (the terms fall from there)
-    and its last term is below 1e-17 of 1 + the sum at each of its elements:
-    the rule a call on that run alone applies.  A run that stops keeps its
-    sums while the others go on, so no run's sums depend on the others.  A
-    block's column sums run down its _TERMS rows in order, except that a
-    (_TERMS, 1) block, the block of a run alone if it has one element, sums
-    pairwise; such a run's column is summed that way here too.
+    _TERMS terms per block, until, for each element, k > y (the terms fall
+    from there) and its last term is below 1e-17 of 1 + its sum.  An element
+    that stops keeps its sum while the others go on, and a block's column
+    sums run down its _TERMS rows in order, so no element's sum depends on
+    the others.  One element is padded to two columns: a (_TERMS, 1) block
+    would sum pairwise.
     """
-    top = np.maximum.reduceat(y, starts)
-    single = starts[counts == 1] if len(starts) > 1 else starts[:0]
+    n = len(y)
+    y = np.append(y, 0.0) if n == 1 else y
     block = np.empty((_TERMS, len(y)))
     rows = list(block)
     k, tail, term = 1, np.zeros(len(y)), 1.0
-    live, open_ = np.ones(len(starts), dtype=bool), True
-    while True:
+    live = np.ones(len(y), dtype=bool)
+    while live.any():
         np.multiply.outer(coef(np.arange(k, k + _TERMS)), y, out=block)
         for prev, row in zip(rows, rows[1:]):  # the running products, in order
             np.multiply(prev, row, out=row)
         block *= term
-        sums = block.sum(axis=0)
-        if single.size:
-            sums[single] = np.ascontiguousarray(block[:, single].T).sum(axis=1)
-        np.add(tail, sums, out=tail, where=open_)
+        np.add(tail, block.sum(axis=0), out=tail, where=live)
         term, k = rows[-1].copy(), k + _TERMS
-        live &= (k <= top) | np.logical_or.reduceat(term > 1e-17 * (1.0 + tail), starts)
-        if not live.any():
-            return tail
-        open_ = live.repeat(counts)
+        live &= (k <= y) | (term > 1e-17 * (1.0 + tail))
+    return tail[:n]
 
 
 def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
@@ -146,24 +139,15 @@ def _s_integral(b: float, A: np.ndarray, excess: bool = False) -> np.ndarray:
     near = ~(far | up)
     if far.any():
         out[far] = np.exp(math.lgamma(b) - b * np.log(-A[far])) - h / b
-    starts, counts = _runs(up)
-    if counts.size:
-        tail = _series(A[up], starts, counts, lambda k: (b + k - 1.0) / (k * (b + k)))
+    if up.any():
+        tail = _series(A[up], lambda k: (b + k - 1.0) / (k * (b + k)))
         out[up] = (tail + (1.0 - h)) / b
-    starts, counts = _runs(near)
-    if counts.size:
+    if near.any():
         x = -A[near]
         e = np.exp(-x)
-        tail = _series(x, starts, counts, lambda k: 1.0 / (b + k))
+        tail = _series(x, lambda k: 1.0 / (b + k))
         out[near] = (e * tail + (np.expm1(-x) if excess else e)) / b
     return out
-
-
-def _runs(mask: np.ndarray):
-    """(starts, counts) of the runs of a 2-d mask's True elements: one per nonempty row (u)."""
-    counts = mask.sum(axis=1)
-    counts = counts[counts > 0]
-    return counts.cumsum() - counts, counts
 
 
 class PsiEvaluator:

@@ -20,6 +20,7 @@ import pytest
 
 from recdev.bandwidth import (
     SUM_BLOCK_ENTRIES,
+    SUM_TOL,
     BandwidthSchedule,
     ScalingSequence,
     bandwidth_sum,
@@ -226,6 +227,31 @@ def test_sum_depends_on_its_inputs_alone():
     assert set(seen) == {1}
     hs = used.values(20_000)
     assert np.max(np.abs(fresh - np.array([math.fsum(col) for col in terms(hs).T]))) <= 1e-10
+
+
+def test_each_column_is_certified_on_its_own_scale():
+    # a large smooth column and a small one whose Chebyshev terms fall
+    # slowly: at degree 32 the small column misses SUM_TOL by about 400x,
+    # a gap the large column's scale would hide
+    seen = []
+
+    def terms(h, cols=slice(None)):
+        seen.append(len(h))
+        small = 0.01 / (1.0 + 4.0 * (np.log(h) + 2.0) ** 2)
+        return np.stack([1e9 * np.exp(-h), small], axis=1)[:, cols]
+
+    sched = BandwidthSchedule(kind="power", c=0.5, a=0.3)
+    n = 20_000
+    exact = np.array([math.fsum(col) / n for col in terms(sched.values(n)).T])
+    seen.clear()
+    both = bandwidth_sum(sched, n, terms, 1, 1.0 / n)
+    pair = sum(seen)
+    seen.clear()
+    small = bandwidth_sum(sched, n, functools.partial(terms, cols=slice(1, 2)), 1, 1.0 / n)
+    # the pair takes the degree the small column takes alone, past 32
+    assert pair == sum(seen) > 33
+    assert abs(both[1] - exact[1]) <= SUM_TOL and abs(small[0] - exact[1]) <= SUM_TOL
+    assert abs(both[0] - exact[0]) <= SUM_TOL * exact[0]
 
 
 def test_failed_certificate_falls_back_within_budget():

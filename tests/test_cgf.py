@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from recdev import cgf
 from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_finite_n, cgf_limit, convergence_diagnostic
 from recdev.densities import GaussianDensity
 from recdev.kernels import builtin_kernel
-from recdev.numerics import OverflowGuardError
+from recdev.numerics import OverflowGuardError, QuadratureError
 from recdev.ratefn import PsiEvaluator
 
 KERNEL = builtin_kernel("gaussian", 1)
@@ -89,6 +90,21 @@ def test_finite_n_matches_scipy_oracle_derivative():
     ours = cgf_finite_n(spec, 0.9, 10)
     ref = _finite_n_oracle(spec, 0.9, 10)
     assert_allclose(ours, ref, rtol=1e-8, atol=1e-13)
+
+
+def test_finite_n_holds_each_u_to_its_own_tolerance(monkeypatch):
+    # levels 1 and 2 of the fake sum agree at u = 30 (about 1e3) and differ
+    # by 2.3e-6 at u = 0.5 (about 0.015): inside the pair's largest value
+    # times 1e-8, outside u = 0.5's own 1e-8
+    def at_level(spec, u, n, level):
+        return np.where(u > 1.0, 1e3, 0.015 + (2.3e-6 if level == 2 else 0.0))
+
+    monkeypatch.setattr(cgf, "_finite_n_at_level", at_level)
+    spec = _spec()
+    assert cgf_finite_n(spec, 30.0, 100) == 1e3 - 30.0 * spec.mean(100)
+    for u in (0.5, [30.0, 0.5]):
+        with pytest.raises(QuadratureError, match="finite-n cumulant quadrature"):
+            cgf_finite_n(spec, u, 100)
 
 
 def test_regime_classification():

@@ -14,7 +14,7 @@ from recdev.numerics import (
     check_exp_bound,
     compensated_cumsum,
     gauss_legendre_panels,
-    refine,
+    refine_each,
     tanh_sinh,
 )
 
@@ -49,32 +49,50 @@ def test_tanh_sinh_plain_interval():
     assert x.min() >= -2.0 and x.max() <= 5.0
 
 
-def test_refine_returns_finer_level_or_names_the_quantity():
-    seen = []
+def test_refine_each_returns_finer_level_or_names_the_quantity():
+    def at_level(idx, level):
+        return np.array([1.0, 2.0**-level])[idx]
 
-    def at_level(level):
-        seen.append(level)
-        return np.array([1.0, 2.0**-level])
-
-    # gaps 0.5, 0.25, ...: the first within 0.2 (relative to 1) is 0.125
-    val, level = refine(at_level, range(10), 0.2, "halving")
-    assert level == 3 and seen == [0, 1, 2, 3]
+    # element 1's gaps are 0.5, 0.25, ...: the first within 0.2 (absolute below 1) is 0.125
+    val, levels, failed = refine_each(at_level, 2, range(10), 0.2, "halving")
+    assert failed == {} and levels.tolist() == [1, 3]
     assert_allclose(val, [1.0, 0.125])
     # the give-up text names the gap of the last two levels, 0.5 - 0.25
+    val, levels, failed = refine_each(at_level, 2, range(3), 0.2, "halving")
+    assert list(failed) == [1] and levels.tolist() == [1, 0]
     with pytest.raises(QuadratureError, match=r"halving .* delta 0\.25\)"):
-        refine(at_level, range(3), 0.2, "halving")
+        raise failed[1]
 
 
-def test_refine_is_absolute_below_one_and_relative_above():
-    def pair(value, gap):
-        return lambda level: value + (gap if level == 1 else 0.0)
+def test_refine_each_is_absolute_below_one_and_relative_above():
+    values, gaps = np.array([0.5, 1e6]), np.array([2e-10, 5e-5])
 
+    def at_level(idx, level):
+        return values[idx] + (gaps[idx] if level == 1 else 0.0)
+
+    val, levels, failed = refine_each(at_level, 2, (0, 1), 1e-10, "pair")
     # value 0.5: a gap of 2e-10 exceeds tol 1e-10
-    with pytest.raises(QuadratureError):
-        refine(pair(0.5, 2e-10), (0, 1), 1e-10, "small value")
+    assert list(failed) == [0] and isinstance(failed[0], QuadratureError)
     # value 1e6: a gap of 5e-5 is 5e-11 relative, within tol 1e-10
-    val, level = refine(pair(1e6, 5e-5), (0, 1), 1e-10, "large value")
-    assert level == 1 and val == 1e6 + 5e-5
+    assert levels[1] == 1 and val[1] == 1e6 + 5e-5
+
+
+def test_refine_each_evaluates_only_the_open_elements():
+    # element i stops moving at level i, so it is accepted at level i + 1
+    rates = np.array([0.0, 1.0, 2.0])
+    seen = []
+
+    def at_level(idx, level):
+        seen.append((level, idx.tolist()))
+        return 2.0 ** -(30.0 * np.minimum(level, rates[idx]))[None, :] * np.ones((2, 1))
+
+    val, levels, failed = refine_each(at_level, 3, range(6), 1e-12, "staircase")
+    assert failed == {} and levels.tolist() == [1, 2, 3]
+    assert seen == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [1, 2]), (3, [2])]
+    # each element's value and level are those of a call on it alone
+    for i in range(3):
+        alone, level, _ = refine_each(lambda j, lv: at_level(j + i, lv), 1, range(6), 1e-12, "one")
+        assert level.tolist() == [levels[i]] and alone.tobytes() == val[:, i : i + 1].tobytes()
 
 
 def test_check_exp_bound():

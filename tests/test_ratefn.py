@@ -134,8 +134,9 @@ def test_psi_of_a_pair_equals_each_alone():
 
 def test_one_node_series_sums_as_alone():
     # at u = -5e16 only the edge node with c K = 6.7e-16 falls in the near
-    # branch at levels 3 and 4 (the rest are far, or K = 0): its series block
-    # is (16, 1), which numpy sums pairwise, unlike a column of a wider block
+    # branch at levels 3 and 4 (the rest are far, or K = 0): alone, its series
+    # block would be (16, 1), which numpy sums pairwise, unlike a column of a
+    # wider block, so `_series` pads it to two columns
     ev = PsiEvaluator(EPAN, 0.25)
     us = np.array([-5e16, -3.0, 1.0])
     for f in (ev.psi, ev.psi_prime, ev.psi_second):
