@@ -1,4 +1,4 @@
-"""Bandwidth schedules, scaling sequences, and the speed of the tail asymptotics.
+"""Bandwidth schedules, scaling sequences, and the sums over the bandwidth sequence.
 
 The estimator attaches bandwidth h_i to arrival index i.  Schedules here are
 regularly varying with index -a: either the pure power h_i = c i^-a or the
@@ -8,7 +8,8 @@ power-with-log h_i = c i^-a log(i + 1), both by one formula,
 Chernoff curve and the Monte Carlo harness.  Partial sums of h_i^beta
 appear in every normalisation, so they are cached per exponent with
 compensated summation; campaigns reach n = 1e6 terms where naive
-accumulation drifts.
+accumulation drifts.  The speed b_n = sum_{i<=n} h_i^(d+2|alpha|) / v_n^2
+and the rates that go with it live on `cgf.CgfSpec`.
 
 The key limit: for a*beta < 1,
 
@@ -269,19 +270,6 @@ class ScalingSequence:
         if self.is_constant_one:
             return 1.0
         return float(n) ** self.b
-
-
-def speed(
-    schedule: BandwidthSchedule,
-    scaling: ScalingSequence,
-    d: int,
-    alpha_order: int,
-    n: int,
-) -> float:
-    """The deviation speed sum_{i<=n} h_i^(d + 2|alpha|) / v_n^2."""
-    schedule.check_compatible(d, alpha_order)
-    beta = d + 2 * alpha_order
-    return schedule.prefix_sum(beta, n) / scaling.value(n) ** 2
 
 
 def regular_variation_limit_check(

@@ -27,11 +27,11 @@ L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
 quadratic u^2 f(x) ||d^alpha K||_2^2 / (2 (1 - a^2 (d+2|alpha|)^2)) in
 every scaled or derivative case.  `regime_of` is the one rule that tells
-the two apart; `CgfSpec.regime` and the CLI's checks apply it.
-`CgfSpec.rate` and `CgfSpec.tilt` give the limit's conjugate and its
-maximizer at a density level f: f(x) for pointwise statements, sup_U f for
-the sup over a region U.  `convergence_diagnostic` tabulates the finite-n
-curves against the limit over a grid of u.
+the two apart; `CgfSpec.regime` and the CLI's checks apply it.  The spec
+holds each regime's limit: the speed b_n, the limit's conjugate (the rate)
+and its maximizer (the tilt) at a density level f: f(x) for pointwise
+statements, sup_U f for the sup over a region U.  `convergence_diagnostic`
+tabulates the finite-n curves against the limit over a grid of u.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum, speed
+from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum
 from .densities import Density
 from .kernels import KernelModel, as_multi_index, kernel_quadrature
 from .numerics import check_exp_bound, refine_each, sample_sizes
 from .estimator import expected_estimate
-from .ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
+from .ratefn import PsiEvaluator, RateValue, _finite
 
 # the level-1 and level-2 kernel-support quadratures must agree to this gap
 # at each u, relative once that cumulant exceeds 1
@@ -83,6 +83,7 @@ class CgfSpec:
         if self.density.dimension != d:
             raise ValueError(f"density has dimension {self.density.dimension}, kernel has {d}")
         self.schedule.check_compatible(d, self.alpha.order)
+        self.beta = d + 2 * self.alpha.order  # the bandwidth exponent of the speed
         pt = np.asarray(self.point, dtype=np.float64).reshape(-1)
         if len(pt) != d:
             raise ValueError(f"point must have {d} coordinates")
@@ -115,30 +116,68 @@ class CgfSpec:
             self._psi = PsiEvaluator(self.kernel, self.schedule.a)
         return self._psi
 
+    @functools.cached_property
+    def quadratic(self) -> tuple:
+        """The quadratic limit's constants (1 - m^2, ||d^alpha K||_2^2), m = a (d + 2|alpha|)."""
+        m, l2 = self.schedule.a * self.beta, self.kernel.l2_norm_sq(self.alpha)
+        if l2 <= 0:
+            raise ValueError("kernel L2 norm must be positive")
+        return 1.0 - m * m, l2
+
     def speed(self, n: int) -> float:
-        return speed(self.schedule, self.scaling, self.kernel.dimension, self.alpha.order, n)
+        """The deviation speed b_n = sum_{i<=n} h_i^(d + 2|alpha|) / v_n^2."""
+        return self.schedule.prefix_sum(self.beta, n) / self.scaling.value(n) ** 2
 
     def rate(self, t: float, level: float) -> RateValue:
-        """The limiting rate of the signed deviation t at density level `level`."""
-        if self.regime == "ldp":
-            return pointwise_rate_density(self.psi(), level, t)
-        return quadratic_rate(
-            level, self.kernel.l2_norm_sq(self.alpha), self.schedule.a,
-            self.kernel.dimension, self.alpha.order, t,
-        )
+        """The limiting rate of the signed deviation t at density level f = `level`.
+
+        f (1 - a d) I(1/(1 - a d) + t/(f (1 - a d))) for the conjugate I of psi
+        (ldp), else t^2 (1 - m^2) / (2 f ||d^alpha K||^2); at f = 0, 0 at t = 0, else +inf.
+        """
+        _check_deviation(t, level)
+        if level == 0.0:
+            return RateValue.of(0.0) if t == 0.0 else RateValue.infinite()
+        if self.regime == "moderate":
+            one_m2, l2 = self.quadratic
+            return RateValue.of(t * t * one_m2 / (2.0 * level * l2))
+        ev = self.psi()
+        scale = level * (1.0 - ev.ad)
+        # (level + t)/scale == 1/(1-ad) + t/scale, but is exactly 0 at the
+        # floor t = -level, keeping the branch at the conjugate's left endpoint
+        base = ev.legendre((level + t) / scale)
+        return RateValue.of(scale * base.value) if base.finite else RateValue.infinite()
 
     def tilt(self, t: float, level: float) -> float:
-        """The u at which u t - Lambda(u) attains `rate(t, level)`.
+        """The u at which u t - Lambda(u) attains `rate(t, level)`, for a level > 0.
 
         Lambda is the limiting cumulant curve at density level `level`; the
         duality holds to root-finding accuracy in the ldp regime and in
         closed form in the quadratic one.
         """
+        _check_deviation(t, level)
+        if level == 0.0:
+            raise ValueError("the tilt needs a density level > 0")
         if self.regime == "ldp":
             ev = self.psi()
             return ev.inverse_prime(ev.prime_at_zero + t / (level * (1.0 - ev.ad)))
-        m = self.schedule.a * (self.kernel.dimension + 2 * self.alpha.order)
-        return t * ((1.0 - m * m) / (level * self.kernel.l2_norm_sq(self.alpha)))
+        one_m2, l2 = self.quadratic
+        return t * (one_m2 / (level * l2))
+
+
+def _check_deviation(t: float, level: float) -> None:
+    """Refuse a non-finite deviation t and a density level that is negative or not finite."""
+    if not math.isfinite(t):
+        raise ValueError(f"deviation t must be finite; got {t}")
+    if not 0.0 <= level < math.inf:
+        raise ValueError(f"density level must be finite and >= 0; got {level}")
+
+
+def _flat_u(u) -> np.ndarray:
+    """u as a flat float64 array; a non-finite u raises ValueError before any quadrature."""
+    arr, err = _finite(u, "cumulant argument u")
+    if err is not None:
+        raise err
+    return arr
 
 
 def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.ndarray:
@@ -147,7 +186,7 @@ def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.n
     d = kernel.dimension
     p = d + spec.alpha.order
     v_n = spec.scaling.value(n)
-    a_n = schedule.prefix_sum(float(d + 2 * spec.alpha.order), n)
+    a_n = schedule.prefix_sum(spec.beta, n)
     y, w = kernel_quadrature(kernel, level=level)
     ky = kernel.deriv_eval(spec.alpha, y)
     # theta_i is largest at the smallest bandwidth; guard before any exp
@@ -186,8 +225,7 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    scalar = np.isscalar(u) or np.ndim(u) == 0
+    arr = _flat_u(u)
     centring = arr * spec.scaling.value(n) * spec.mean(n)
     out, _, failed = refine_each(
         lambda idx, level: _finite_n_at_level(spec, arr[idx], n, level) - centring[idx],
@@ -195,22 +233,20 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
     )
     if failed:
         raise failed[min(failed)]
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
+    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
 
 def cgf_limit(spec: CgfSpec, u):
-    """The n -> infinity cumulant curve for the spec's regime."""
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    scalar = np.isscalar(u) or np.ndim(u) == 0
+    """The n -> infinity cumulant curve for the spec's regime, scalar or vectorised over u."""
+    arr = _flat_u(u)
     fx = spec.density_at_point
     if spec.regime == "ldp":
         ev = spec.psi()
         out = fx * (1.0 - ev.ad) * ev.psi(arr) - arr * fx
     else:
-        m = spec.schedule.a * (spec.kernel.dimension + 2 * spec.alpha.order)
-        l2 = spec.kernel.l2_norm_sq(spec.alpha)
-        out = arr * arr * fx * l2 / (2.0 * (1.0 - m * m))
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
+        one_m2, l2 = spec.quadratic
+        out = arr * arr * fx * l2 / (2.0 * one_m2)
+    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
 
 @dataclass(frozen=True)
@@ -230,15 +266,13 @@ class CgfConvergence:
 
 def convergence_diagnostic(spec: CgfSpec, u_values, n_values) -> CgfConvergence:
     """Tabulate L_n over u for each n against the limiting curve."""
-    u = np.asarray(u_values, dtype=np.float64).reshape(-1)
+    u = _flat_u(u_values)
     ns = np.asarray(sample_sizes(n_values, "n_values"), dtype=np.int64)
     if len(u) == 0:
         raise ValueError("need at least one u")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"u values must be finite; got {u.tolist()}")
-    limit = np.atleast_1d(cgf_limit(spec, u))
+    limit = cgf_limit(spec, u)
     rows = np.empty((len(ns), len(u)))
     for r, n in enumerate(ns):
-        rows[r] = np.atleast_1d(cgf_finite_n(spec, u, int(n)))
+        rows[r] = cgf_finite_n(spec, u, int(n))
     gaps = np.max(np.abs(rows - limit[None, :]), axis=1)
     return CgfConvergence(u=u, n_values=ns, finite_n=rows, limit=limit, sup_gap=gaps)

@@ -161,6 +161,11 @@ class _GaussianProfile:
     # after multiplication by moderate exp factors
     radius = 8.5
     max_order = 6
+    # int (phi^(k))^2 = (2k)! / (k! 4^k 2 sqrt(pi))
+    l2_table = {
+        k: math.factorial(2 * k) / (math.factorial(k) * 4.0**k * 2.0 * math.sqrt(math.pi))
+        for k in range(max_order + 1)
+    }
     sup = 1.0 / SQRT_2PI  # phi(0)
 
     def derivative(self, k, x):
@@ -174,15 +179,6 @@ class _GaussianProfile:
         for j in range(1, s, 2):
             out *= j
         return out
-
-    @property
-    def l2_table(self):
-        # int (phi^(k))^2 = (2k)! / (k! 4^k 2 sqrt(pi))
-        return {
-            k: math.factorial(2 * k)
-            / (math.factorial(k) * 4.0**k * 2.0 * math.sqrt(math.pi))
-            for k in range(self.max_order + 1)
-        }
 
 
 class _EpanechnikovProfile:

@@ -8,10 +8,9 @@ psi is strictly convex and smooth with psi(0) = 0 and psi'(0) = 1/(1 - a d).
 Its convex conjugate I(t) = sup_u (u t - psi(u)) is the pointwise rate of
 the density estimator in the large-deviation regime, after recentring and
 scaling by the density value.  The moderate-deviation regime has the
-explicit quadratic rate and needs no transform.  Both rates are evaluated
-at a density level, f(x) at a point or sup_U f over a region;
-`pointwise_rate_density` and `quadratic_rate` are the two closed forms,
-and `cgf.CgfSpec.rate`/`tilt` pick the one for the spec's regime.
+explicit quadratic rate and needs no transform.  Both rates, at a density
+level (f(x) at a point or sup_U f over a region), live on
+`cgf.CgfSpec.rate`, with their maximizers on `cgf.CgfSpec.tilt`.
 
 The shape of I depends on the sign sets of K.  With lambda{K < 0} = 0 the
 range of psi' is (0, inf): I is +inf on t < 0, equals lambda{K > 0}/(1 - a d)
@@ -433,45 +432,3 @@ def _finite(x, what: str):
     if not bad.size:
         return arr, None
     return arr[: bad[0]], ValueError(f"{what} must be finite; got {arr[bad[0]]}")
-
-
-def pointwise_rate_density(psi_ev: PsiEvaluator, f_x: float, t: float) -> RateValue:
-    """Large-deviation rate at density level f_x (f(x), or sup_U f for a region).
-
-    Recentring puts the estimator's almost-sure limit at rate zero:
-    the rate of deviation t is f_x (1 - a d) I(1/(1 - a d) + t/(f_x (1 - a d))).
-    At points where f_x = 0 the rate degenerates to 0 at t = 0 and +inf
-    elsewhere.
-    """
-    if f_x < 0:
-        raise ValueError("density values are nonnegative")
-    if f_x == 0.0:
-        return RateValue.of(0.0) if t == 0.0 else RateValue.infinite()
-    scale = f_x * (1.0 - psi_ev.ad)
-    # (f_x + t)/scale == 1/(1-ad) + t/scale, but is exactly 0 at the
-    # floor t = -f_x, keeping the branch at the conjugate's left endpoint
-    base = psi_ev.legendre((f_x + t) / scale)
-    if not base.finite:
-        return RateValue.infinite()
-    return RateValue.of(scale * base.value)
-
-
-def quadratic_rate(
-    f_x: float,
-    l2_alpha: float,
-    a: float,
-    d: int,
-    alpha_order: int,
-    t: float,
-) -> RateValue:
-    """Moderate-deviation rate t^2 (1 - a^2 (d+2|alpha|)^2) / (2 f_x int (d^a K)^2)."""
-    if f_x < 0:
-        raise ValueError("density values are nonnegative")
-    if l2_alpha <= 0:
-        raise ValueError("kernel L2 norm must be positive")
-    m = a * (d + 2 * alpha_order)
-    if m >= 1.0:
-        raise ValueError(f"a (d + 2|alpha|) = {m:.4g} >= 1 is outside the theory")
-    if f_x == 0.0:
-        return RateValue.of(0.0) if t == 0.0 else RateValue.infinite()
-    return RateValue.of(t * t * (1.0 - m * m) / (2.0 * f_x * l2_alpha))

@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from recdev.bandwidth import (
-    BandwidthSchedule,
-    ScalingSequence,
-    regular_variation_limit_check,
-    speed,
-)
+from recdev.bandwidth import BandwidthSchedule, ScalingSequence, regular_variation_limit_check
+from recdev.cgf import CgfSpec
+from recdev.densities import GaussianDensity
+from recdev.kernels import builtin_kernel
 
 
 def test_power_schedule_values():
@@ -122,15 +120,20 @@ def test_scaling_sequence():
         ScalingSequence(kind="constant_one", b=0.2)
 
 
+def _spec(schedule, scaling):
+    return CgfSpec(kernel=builtin_kernel("gaussian", 1), schedule=schedule, scaling=scaling,
+                   density=GaussianDensity(mean=[0.0], sigma=[1.0]), point=[0.0])
+
+
 def test_speed_formula():
     sch = BandwidthSchedule(kind="power", c=0.7, a=0.3)
     v = ScalingSequence(kind="power", b=0.1)
     n = 500
     expected = sch.prefix_sum(1, n) / v.value(n) ** 2
-    assert_allclose(speed(sch, v, d=1, alpha_order=0, n=n), expected, rtol=1e-14)
+    assert_allclose(_spec(sch, v).speed(n), expected, rtol=1e-14)
     # constant scaling: the speed is the raw bandwidth sum
     one = ScalingSequence(kind="constant_one")
-    assert_allclose(speed(sch, one, d=1, alpha_order=0, n=n), sch.prefix_sum(1, n), rtol=1e-14)
+    assert_allclose(_spec(sch, one).speed(n), sch.prefix_sum(1, n), rtol=1e-14)
 
 
 def test_regular_variation_limit_check():
@@ -146,6 +149,5 @@ def test_regular_variation_limit_check():
 @given(st.floats(min_value=0.05, max_value=0.45), st.integers(min_value=2, max_value=2000))
 @settings(max_examples=40, deadline=None)
 def test_speed_increases_with_n(a, n):
-    sch = BandwidthSchedule(kind="power", c=1.0, a=a)
-    v = ScalingSequence(kind="power", b=0.05)
-    assert speed(sch, v, 1, 0, n) > speed(sch, v, 1, 0, n - 1) * (n / (n + 1.0)) ** 0.2
+    spec = _spec(BandwidthSchedule(kind="power", c=1.0, a=a), ScalingSequence(kind="power", b=0.05))
+    assert spec.speed(n) > spec.speed(n - 1) * (n / (n + 1.0)) ** 0.2

@@ -148,6 +148,17 @@ def test_vector_u_matches_scalars():
     vec = cgf_finite_n(spec, us, 30)
     scal = [cgf_finite_n(spec, float(u), 30) for u in us]
     assert_allclose(vec, scal, rtol=1e-12)
+    # a (2, 2) u keeps its shape in both regimes.  The limit equals its
+    # elementwise calls bit for bit; the finite-n curve equals its flat call
+    # bit for bit, and its one-u calls to the tolerance above, since the sum
+    # over bandwidths adds a one-column block in another order
+    square = us.reshape(2, 2)
+    for spec in (spec, _spec()):
+        vec = cgf_finite_n(spec, square, 30)
+        np.testing.assert_array_equal(vec, cgf_finite_n(spec, us, 30).reshape(2, 2))
+        assert_allclose(vec, [[cgf_finite_n(spec, u, 30) for u in row] for row in square], rtol=1e-12)
+        limit = [[cgf_limit(spec, u) for u in row] for row in square]
+        np.testing.assert_array_equal(cgf_limit(spec, square), limit)
 
 
 def test_limit_over_a_u_array_equals_scalar_calls():
@@ -174,6 +185,24 @@ def test_convergence_diagnostic_gaps_shrink():
     assert conv.finite_n.shape == (3, 2)
     assert conv.gaps_decrease
     assert conv.sup_gap[-1] < 0.05 * np.max(np.abs(conv.limit))
+
+
+@pytest.mark.parametrize("scaling", [None, ScalingSequence(kind="power", b=0.1)], ids=["ldp", "moderate"])
+def test_non_finite_arguments_and_bad_levels_are_refused(scaling):
+    spec = _spec(scaling=scaling)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"cumulant argument u must be finite; got {bad}"):
+            cgf_finite_n(spec, [0.5, bad], 10)
+        with pytest.raises(ValueError, match=f"cumulant argument u must be finite; got {bad}"):
+            cgf_limit(spec, bad)
+        for call in (spec.rate, spec.tilt):
+            with pytest.raises(ValueError, match=f"deviation t must be finite; got {bad}"):
+                call(bad, 0.3)
+    for call in (spec.rate, spec.tilt):
+        with pytest.raises(ValueError, match="density level must be finite and >= 0; got -0.1"):
+            call(0.2, -0.1)
+    with pytest.raises(ValueError, match="the tilt needs a density level > 0"):
+        spec.tilt(0.2, 0.0)
 
 
 def test_overflow_guard_trips_before_exp():

@@ -11,7 +11,7 @@ from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_limit
 from recdev.densities import GaussianDensity
 from recdev.kernels import KernelModel, builtin_kernel
-from recdev.ratefn import PsiEvaluator, RateValue, pointwise_rate_density, quadratic_rate
+from recdev.ratefn import PsiEvaluator, RateValue
 
 GAUSS = builtin_kernel("gaussian", 1)
 EPAN = builtin_kernel("epanechnikov", 1)
@@ -295,51 +295,11 @@ def test_rate_value_contract():
     assert float(RateValue.of(0.25)) == 0.25
 
 
-def test_pointwise_rate_density_floor_and_zero():
-    fx = 0.35
-    ev_e = PsiEvaluator(EPAN, 0.3)
-    assert pointwise_rate_density(ev_e, fx, 0.0).value == 0.0
-    # estimator of a density cannot undershoot below 0: floor at t = -f(x)
-    at_floor = pointwise_rate_density(ev_e, fx, -fx)
-    assert at_floor.finite
-    assert_allclose(at_floor.value, 2.0 * fx, rtol=1e-12)
-    assert not pointwise_rate_density(ev_e, fx, -fx - 1e-12).finite
-    ev_g = PsiEvaluator(GAUSS, 0.3)
-    assert not pointwise_rate_density(ev_g, fx, -fx).finite
-    assert pointwise_rate_density(ev_g, fx, 0.4).finite
-
-
-def test_pointwise_rate_degenerate_point():
-    ev = PsiEvaluator(GAUSS, 0.3)
-    assert pointwise_rate_density(ev, 0.0, 0.0).value == 0.0
-    assert not pointwise_rate_density(ev, 0.0, 0.1).finite
-
-
-def test_quadratic_rate_closed_form():
-    fx = 1.0 / math.sqrt(2 * math.pi)
-    l2 = 1.0 / (2 * math.sqrt(math.pi))
-    val = quadratic_rate(fx, l2, a=0.3, d=1, alpha_order=0, t=0.2)
-    assert_allclose(val.value, 0.16172093894896455, rtol=1e-14)
-    assert_allclose(val.value, 0.04 * (1 - 0.09) / (2 * fx * l2), rtol=1e-14)
-    # derivative case widens the variance through the kernel derivative norm
-    val1 = quadratic_rate(fx, GAUSS.l2_norm_sq((1,)), a=0.2, d=1, alpha_order=1, t=0.2)
-    assert_allclose(
-        val1.value, 0.04 * (1 - 0.36) / (2 * fx * (1.0 / (4 * math.sqrt(math.pi)))), rtol=1e-9
-    )
-
-
-def test_quadratic_rate_domain_errors():
-    with pytest.raises(ValueError):
-        quadratic_rate(0.4, 0.3, a=0.5, d=1, alpha_order=1, t=0.1)
-    with pytest.raises(ValueError):
-        quadratic_rate(-0.1, 0.3, a=0.2, d=1, alpha_order=0, t=0.1)
-
-
-def _level_spec(scaling, level, a=0.3, alpha=(0,)):
+def _level_spec(scaling, level, a=0.3, alpha=(0,), kernel=GAUSS):
     # a gaussian with f(0) = level puts that density level at the point
     sigma = 1.0 / (level * math.sqrt(2 * math.pi))
     return CgfSpec(
-        kernel=GAUSS,
+        kernel=kernel,
         schedule=BandwidthSchedule(kind="power", c=1.0, a=a),
         scaling=scaling,
         density=GaussianDensity(mean=[0.0], sigma=[sigma]),
@@ -354,6 +314,59 @@ def _quad_spec():
 
 def _ldp_spec():
     return _level_spec(ScalingSequence(kind="constant_one"), 0.5)
+
+
+def _derivative_spec():
+    # alpha = (1,) at constant-one scaling: quadratic at the large-deviation scale
+    return _level_spec(ScalingSequence(kind="constant_one"), 0.5, alpha=(1,))
+
+
+def test_pointwise_rate_density_floor_and_zero():
+    fx = 0.35
+    spec_e = _level_spec(ScalingSequence(kind="constant_one"), 0.5, kernel=EPAN)
+    assert spec_e.rate(0.0, fx).value == 0.0
+    # estimator of a density cannot undershoot below 0: floor at t = -f(x)
+    at_floor = spec_e.rate(-fx, fx)
+    assert at_floor.finite
+    assert_allclose(at_floor.value, 2.0 * fx, rtol=1e-12)
+    assert not spec_e.rate(-fx - 1e-12, fx).finite
+    spec_g = _level_spec(ScalingSequence(kind="constant_one"), 0.5)
+    assert not spec_g.rate(-fx, fx).finite
+    assert spec_g.rate(0.4, fx).finite
+
+
+def test_pointwise_rate_degenerate_point():
+    spec = _level_spec(ScalingSequence(kind="constant_one"), 0.5)
+    assert spec.rate(0.0, 0.0).value == 0.0
+    assert not spec.rate(0.1, 0.0).finite
+
+
+def test_quadratic_rate_closed_form():
+    fx = 1.0 / math.sqrt(2 * math.pi)
+    l2 = 1.0 / (2 * math.sqrt(math.pi))
+    val = _level_spec(ScalingSequence(kind="power", b=0.1), 0.5).rate(0.2, fx)
+    assert_allclose(val.value, 0.16172093894896455, rtol=1e-14)
+    assert_allclose(val.value, 0.04 * (1 - 0.09) / (2 * fx * l2), rtol=1e-14)
+    # derivative case widens the variance through the kernel derivative norm,
+    # with a growing scaling and with the constant one alike
+    for scaling in (ScalingSequence(kind="power", b=0.1), ScalingSequence(kind="constant_one")):
+        val1 = _level_spec(scaling, 0.5, a=0.2, alpha=(1,)).rate(0.2, fx)
+        assert_allclose(
+            val1.value, 0.04 * (1 - 0.36) / (2 * fx * (1.0 / (4 * math.sqrt(math.pi)))), rtol=1e-9
+        )
+
+
+def test_quadratic_rate_domain_errors():
+    with pytest.raises(ValueError, match=r"a \(d \+ 2\|alpha\|\) = 1.5 >= 1"):
+        _level_spec(ScalingSequence(kind="power", b=0.1), 0.4, a=0.5, alpha=(1,))
+    with pytest.raises(ValueError, match="density level must be finite and >= 0"):
+        _level_spec(ScalingSequence(kind="power", b=0.1), 0.4, a=0.2).rate(0.1, -0.1)
+    zero = KernelModel(
+        name="zero", dimension=1, fn=lambda mi, p: np.zeros(len(p)), support_radius=1.0,
+        positive_support_measure=0.0, negative_support_measure=0.0, max_derivative_order=0,
+    )
+    with pytest.raises(ValueError, match="kernel L2 norm must be positive"):
+        _level_spec(ScalingSequence(kind="power", b=0.1), 0.4, kernel=zero).rate(0.1, 0.4)
 
 
 def test_spec_rate_quadratic_symmetric():
@@ -377,12 +390,12 @@ def test_spec_rate_ldp_two_sided():
 @given(st.floats(min_value=0.02, max_value=1.5))
 @settings(max_examples=25, deadline=None)
 def test_spec_tilt_duality_quadratic(delta):
-    spec = _quad_spec()
-    level = spec.density_at_point
-    for signed in (delta, -delta):
-        u = spec.tilt(signed, level)
-        g = spec.rate(signed, level)
-        assert abs(u * signed - cgf_limit(spec, u) - g.value) <= 1e-8
+    for spec in (_quad_spec(), _derivative_spec()):
+        level = spec.density_at_point
+        for signed in (delta, -delta):
+            u = spec.tilt(signed, level)
+            g = spec.rate(signed, level)
+            assert abs(u * signed - cgf_limit(spec, u) - g.value) <= 1e-8
 
 
 @given(st.floats(min_value=0.02, max_value=0.9))
@@ -402,6 +415,9 @@ def test_spec_cgf_limit_quadratic_closed_form():
     spec = _quad_spec()
     u = 0.8
     expected = 0.5 * u * u * spec.density_at_point * GAUSS.l2_norm_sq((0,)) / (1 - 0.09)
+    assert_allclose(cgf_limit(spec, u), expected, rtol=1e-12)
+    spec = _derivative_spec()
+    expected = 0.5 * u * u * spec.density_at_point * GAUSS.l2_norm_sq((1,)) / (1 - 0.81)
     assert_allclose(cgf_limit(spec, u), expected, rtol=1e-12)
 
 
