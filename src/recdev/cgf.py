@@ -45,7 +45,7 @@ import numpy as np
 
 from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum
 from .densities import Density
-from .kernels import KernelModel, as_multi_index, kernel_quadrature
+from .kernels import KernelModel, derivative_index, kernel_quadrature
 from .numerics import check_exp_bound, refine_each, sample_sizes
 from .estimator import expected_estimate
 from .ratefn import PsiEvaluator, RateValue, _finite
@@ -78,8 +78,7 @@ class CgfSpec:
 
     def __post_init__(self):
         d = self.kernel.dimension
-        self.alpha = as_multi_index(self.alpha, d)
-        self.kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
+        self.alpha = derivative_index(self.alpha, self.kernel, "kernel")
         if self.density.dimension != d:
             raise ValueError(f"density has dimension {self.density.dimension}, kernel has {d}")
         self.schedule.check_compatible(d, self.alpha.order)

@@ -25,7 +25,7 @@ ValueError, such as a derivative sup asked of a 2-d density), 3 when a
 numerical routine gives up (quadrature, root finding, the exp guard) or a
 simulation sees no exceedance at all.  The environment variable
 RECDEV_THREADS sets the simulation worker count (unset: the cores the
-process may run on; 1: the serial path; not an integer >= 1: exit 2).
+process may run on, up to 256; 1: the serial path; not in 1..256: exit 2).
 Memory is bounded per worker, about 2.5 MB each in d = 1, and the outputs
 are bit-identical at any worker count.
 """
@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, ScalingSequence
-from .cgf import CgfSpec, convergence_diagnostic, regime_of
+from .cgf import CgfSpec, _flat_u, convergence_diagnostic, regime_of
 from .densities import build_density
 from .deviations import (
     FINAL_GAP_FRACTION,
@@ -190,9 +190,9 @@ def validate(cfg: ExperimentConfig, subcommand: str = "simulate") -> list:
     proceed.  A subcommand is refused only by the model fields and by the
     run fields it reads.  Each step runs only if the ones before it found
     nothing: (1) the run fields no library object owns where the subcommand
-    reads them (simulate's mode, q, bias's m_q, and n_list and seed where no
-    experiment holds them), then building the kernel with its alpha
-    derivative, the two sequences and the density; (2) the hypotheses
+    reads them (simulate's mode, q, bias's m_q, cgf's u_values, and n_list
+    and seed where no experiment holds them), then building the kernel with
+    its alpha derivative, the two sequences and the density; (2) the hypotheses
     H2-H10, each citing its tag, and for simulate an explicit mode against
     the run its fields select; (3) building the `CgfSpec` from step 1's
     objects and parsing the grid the subcommand reads (the region for
@@ -210,8 +210,9 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
     simulate = subcommand == "simulate"
     if simulate and cfg.mode is not None and cfg.mode not in _MODES:
         bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
-    if subcommand == "bias" and cfg.m_q is not None and not cfg.m_q > 0:
-        bad.append(f"m_q must be positive when given; got {cfg.m_q}")
+    finite_m_q = type(cfg.m_q) in (int, float) and 0 < cfg.m_q <= sys.float_info.max
+    if subcommand == "bias" and cfg.m_q is not None and not finite_m_q:
+        bad.append(f"m_q must be a finite number > 0 when given; got {cfg.m_q!r}")
     try:
         if subcommand in ("cgf", "simulate", "bias", "chernoff"):  # H7 reads q
             as_count(cfg.q, "q", 2)
@@ -219,6 +220,8 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             sample_sizes(cfg.n_list)
         if subcommand == "estimate":  # the other sampling subcommands build an experiment
             as_seed(cfg.seed)
+        if subcommand == "cgf":  # a TypeError (u not numbers) is a config error too
+            _flat_u(cfg.u_values)
         kernel = builtin_kernel(cfg.kernel, cfg.dimension)
         kernel.partial_fn(cfg.alpha or None)
         schedule = BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)

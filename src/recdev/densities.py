@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .kernels import MultiIndex, as_multi_index, as_points, hermite_phi, scan_sup
+from .kernels import MultiIndex, as_points, derivative_index, hermite_phi, scan_sup
 
 
 def _require_finite(**params) -> None:
@@ -39,12 +39,7 @@ class Density:
         return self.partial(None, points)
 
     def partial(self, alpha, points):
-        mi = as_multi_index(alpha, self.dimension)
-        if mi.order > self.max_derivative_order:
-            raise ValueError(
-                f"density '{self.name}' supports derivatives up to order "
-                f"{self.max_derivative_order}, requested |alpha| = {mi.order}"
-            )
+        mi = derivative_index(alpha, self, "density")
         pts, lead = as_points(points, self.dimension)
         return self._partial(mi, pts).reshape(lead)
 

@@ -19,7 +19,7 @@ chunks straight into one sample buffer (`Density.sample(..., out=)`) and
 builds the kernel arguments in one more, both reused from chunk to chunk,
 so the loop neither reallocates nor page-faults them.
 The chunks are dealt round-robin to RECDEV_THREADS workers, by default the
-cores the process may run on (never more than the chunks): the calling
+cores the process may run on (at most the chunks and `MAX_THREADS`): the calling
 thread runs the first share and a pool the others, so one worker is the
 serial loop.  Memory is bounded per worker (about 2.5 MB each in d = 1),
 flat in R, and grows with n_max only once n_max exceeds the budget and a
@@ -153,20 +153,26 @@ class DeviationReport:
         return all(v.passed for v in self.verdicts)
 
 
+# the most simulation workers (about 2.5 MB each in d = 1); a larger RECDEV_THREADS is refused
+MAX_THREADS = 256
+
+
 def _thread_count() -> int:
-    """RECDEV_THREADS, or the cores this process may run on when it is unset."""
+    """RECDEV_THREADS, or the cores this process may run on when unset; at most MAX_THREADS."""
     raw = os.environ.get("RECDEV_THREADS")
     if raw is None:
         try:
-            return len(os.sched_getaffinity(0))
+            return min(len(os.sched_getaffinity(0)), MAX_THREADS)
         except AttributeError:  # no affinity call on this platform
-            return os.cpu_count() or 1
+            return min(os.cpu_count() or 1, MAX_THREADS)
     try:
         count = int(raw)
     except ValueError:
         count = 0
     if count < 1:
         raise ValueError(f"RECDEV_THREADS must be an integer >= 1; got {raw!r}")
+    if count > MAX_THREADS:
+        raise ValueError(f"RECDEV_THREADS must be at most {MAX_THREADS}; got {raw!r}")
     return count
 
 

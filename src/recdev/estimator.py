@@ -43,6 +43,7 @@ from .kernels import (
     KernelModel,
     as_multi_index,
     as_points,
+    derivative_index,
     kernel_quadrature,
     norm_moment,
 )
@@ -109,11 +110,10 @@ class RecursiveEstimator:
     def __init__(self, kernel: KernelModel, schedule: BandwidthSchedule, grid, alpha=None):
         self.kernel = kernel
         self.schedule = schedule
-        self.alpha = as_multi_index(alpha, kernel.dimension)
+        self.alpha = derivative_index(alpha, kernel, "kernel")
         schedule.check_compatible(kernel.dimension, self.alpha.order)
         self.grid, _ = as_points(grid, kernel.dimension)
         _check_finite(self.grid, "grid points")
-        kernel.partial_fn(self.alpha)  # refuses orders the kernel cannot differentiate
         self._power = kernel.dimension + self.alpha.order
         m, d = self.grid.shape
         self._rows = _block_rows(m)

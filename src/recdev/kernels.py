@@ -10,14 +10,17 @@ non-product kernels are wrapped by passing their own `fn` to KernelModel;
 they must then supply the support-sign measures themselves.
 
 The built-in families fill their constants (L2 norms, low moments, sup
-norms) in closed form; a custom kernel's come from adaptive quadrature with
-a hard tolerance (relative for values above 1) and from a sup scan.
+norms) in closed form; a custom kernel's integrals run on the support rule
+to a hard tolerance (relative for values above 1), its sup on a scan.
 
 The primitives every other module builds on live here, one helper each:
 `as_points` (the point-shape rule), `as_multi_index` (None is the zero
-index), `tensor_grid` / `tensor_rule` (tensor products of a 1-d rule),
-`scan_sup` (dense scan plus bracketing refinement) and `hermite_phi`
-(derivatives of the standard normal pdf).
+index), `derivative_index` (the order check of kernels and densities),
+`tensor_rule` (the tensor product of a 1-d rule, or a slice of its rows;
+`tensor_grid` is its points; d <= `MAX_TENSOR_DIMENSION`),
+`kernel_quadrature` (the Gauss-Legendre support-box rule behind E f_n, L_n
+and a custom kernel's constants), `scan_sup` (dense scan plus bracketing
+refinement) and `hermite_phi` (derivatives of the standard normal pdf).
 
 `hermite_phi` is the one gaussian formula, and it flushes phi to 0 where
 -x^2/2 < -700 (|x| > 37.42).  numpy's exp takes a slow path, 15-130x the
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +45,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 # two panel doublings of a custom kernel's constant must agree to this gap,
 # relative once the constant exceeds 1
 _TENSOR_TOL = 1e-10
+# the support rule, a custom kernel's sup mesh and psi's z rule refuse a larger d
+MAX_TENSOR_DIMENSION = 3
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,17 @@ def as_multi_index(alpha, dimension: int) -> MultiIndex:
     return mi
 
 
+def derivative_index(alpha, owner, kind: str) -> MultiIndex:
+    """alpha as a MultiIndex of `owner` (a KernelModel or a Density), refused past its order."""
+    mi = as_multi_index(alpha, owner.dimension)
+    if mi.order > owner.max_derivative_order:
+        raise ValueError(
+            f"{kind} '{owner.name}' supports derivatives up to order "
+            f"{owner.max_derivative_order}, requested |alpha| = {mi.order}"
+        )
+    return mi
+
+
 def as_points(points, d: int) -> tuple[np.ndarray, tuple]:
     """(m, d) float64 points plus the leading shape the input had.
 
@@ -96,17 +112,23 @@ def as_points(points, d: int) -> tuple[np.ndarray, tuple]:
     return pts.reshape(-1, d), pts.shape[:-1]
 
 
+def tensor_rule(x: np.ndarray, w: np.ndarray, d: int, start: int = 0, stop=None):
+    """Rows start:stop (stop <= len(x)**d) of the tensor product of the 1-d rule (x, w).
+
+    Returns points (m, d) and weights (m,).  Rows run row-major (the last
+    axis fastest) and weights multiply from the first axis on, so slices
+    concatenate to the whole rule bit for bit.
+    """
+    ij = np.unravel_index(np.arange(start, len(x) ** d if stop is None else stop), (len(x),) * d)
+    ws = w[ij[0]]
+    for i in ij[1:]:
+        ws = ws * w[i]
+    return np.stack([x[i] for i in ij], axis=-1), ws
+
+
 def tensor_grid(x: np.ndarray, d: int) -> np.ndarray:
-    """Every d-tuple of the 1-d nodes x, as (len(x)**d, d) with the last axis fastest."""
-    return np.stack(np.meshgrid(*([x] * d), indexing="ij"), axis=-1).reshape(-1, d)
-
-
-def tensor_rule(x: np.ndarray, w: np.ndarray, d: int):
-    """The tensor-product rule (points (m, d), weights (m,)) of the 1-d rule (x, w)."""
-    ws = np.ones(len(x) ** d)
-    for wj in tensor_grid(w, d).T:
-        ws *= wj
-    return tensor_grid(x, d), ws
+    """Every d-tuple of the 1-d nodes x, as (len(x)**d, d): the points of `tensor_rule`."""
+    return tensor_rule(x, np.ones_like(x), d)[0]
 
 
 def scan_sup(f, lo: float, hi: float, num: int) -> float:
@@ -168,17 +190,11 @@ class _GaussianProfile:
     }
     sup = 1.0 / SQRT_2PI  # phi(0)
 
-    def derivative(self, k, x):
-        return hermite_phi(k, x)
+    derivative = staticmethod(hermite_phi)
 
     def moment(self, s):
-        if s % 2 == 1:
-            return 0.0
         # double factorial (s-1)!!
-        out = 1.0
-        for j in range(1, s, 2):
-            out *= j
-        return out
+        return float(math.prod(range(1, s, 2)))
 
 
 class _EpanechnikovProfile:
@@ -195,8 +211,6 @@ class _EpanechnikovProfile:
         raise ValueError("epanechnikov kernel is not differentiable at its support edge")
 
     def moment(self, s):
-        if s % 2 == 1:
-            return 0.0
         # int x^s 3/4 (1 - x^2) on [-1, 1]
         return 1.5 * (1.0 / (s + 1.0) - 1.0 / (s + 3.0))
 
@@ -218,8 +232,6 @@ class _QuarticProfile:
         raise ValueError("quartic kernel has no continuous derivatives past order 1")
 
     def moment(self, s):
-        if s % 2 == 1:
-            return 0.0
         # int x^s 15/16 (1 - x^2)^2 on [-1, 1]
         return (15.0 / 8.0) * (
             1.0 / (s + 1.0) - 2.0 / (s + 3.0) + 1.0 / (s + 5.0)
@@ -257,7 +269,6 @@ class KernelModel:
     negative_support_measure: float
     max_derivative_order: int
     profile: Optional[object] = None
-    _l2_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.dimension = as_count(self.dimension, "kernel dimension")
@@ -270,13 +281,7 @@ class KernelModel:
 
     def partial_fn(self, alpha) -> Callable[[np.ndarray], np.ndarray]:
         """d^alpha K as a function of an (n, d) array, validated once here."""
-        mi = as_multi_index(alpha, self.dimension)
-        if mi.order > self.max_derivative_order:
-            raise ValueError(
-                f"kernel '{self.name}' supports derivatives up to order "
-                f"{self.max_derivative_order}, requested |alpha| = {mi.order}"
-            )
-        return functools.partial(self.fn, mi)
+        return functools.partial(self.fn, derivative_index(alpha, self, "kernel"))
 
     def eval(self, points):
         return self.deriv_eval(None, points)
@@ -296,41 +301,19 @@ class KernelModel:
         f = self.partial_fn(None)
         if d == 1:
             return scan_sup(lambda x: f(x.reshape(-1, 1)), -r, r, 20001)
-        if d > 3:
-            raise ValueError("sup scan beyond d = 3 is not supported; supply the constant")
+        if d > MAX_TENSOR_DIMENSION:
+            raise ValueError(
+                f"sup scan beyond d = {MAX_TENSOR_DIMENSION} is not supported; supply the constant"
+            )
         mesh = tensor_grid(np.linspace(-r, r, 201 if d == 2 else 41), d)
         return float(np.max(np.abs(f(mesh))))
 
     def l2_norm_sq(self, alpha=None) -> float:
         """integral of (d^alpha K)^2 over R^d; refuses the orders `partial_fn` refuses."""
-        mi = as_multi_index(alpha, self.dimension)
-        f = self.partial_fn(mi)
+        mi = derivative_index(alpha, self, "kernel")
         if self.profile is not None:
             return math.prod(self.profile.l2_table[aj] for aj in mi.components)
-        if mi.components not in self._l2_cache:
-            self._l2_cache[mi.components] = _tensor_integral(
-                lambda p: f(p) ** 2, self.dimension, self.support_radius
-            )
-        return self._l2_cache[mi.components]
-
-
-def _tensor_integral(f, d: int, radius: float) -> float:
-    """Tensor Gauss-Legendre integral over [-radius, radius]^d; `refine_each` doubles the panels."""
-    if d > 3:
-        raise ValueError(
-            "tensor quadrature beyond d = 3 is not supported; "
-            "use a product kernel or supply the constant"
-        )
-
-    def at_level(_, level):
-        panels = (4 if radius > 2 else 2) * 2**level
-        pts, ws = tensor_rule(*gauss_legendre_panels(-radius, radius, panels, order=12), d)
-        return np.array([np.dot(ws, f(pts))])
-
-    out, _, failed = refine_each(at_level, 1, range(6), _TENSOR_TOL, f"tensor integral in d={d}")
-    if failed:
-        raise failed[0]
-    return float(out[0])
+        return _support_integral(self, lambda p: self.fn(mi, p) ** 2)
 
 
 def kernel_quadrature(model: KernelModel, level: int = 0):
@@ -339,11 +322,26 @@ def kernel_quadrature(model: KernelModel, level: int = 0):
     Returns (points (m, d), weights (m,)); `level` doubles the panel count,
     so integrals evaluated at consecutive levels give an error estimate.
     """
-    if model.dimension > 3:
-        raise ValueError("tensor quadrature beyond d = 3 is not supported")
+    if model.dimension > MAX_TENSOR_DIMENSION:
+        raise ValueError(f"tensor quadrature beyond d = {MAX_TENSOR_DIMENSION} is not supported")
     r = model.support_radius
     panels = max(2, int(np.ceil(r))) * 2**level
     return tensor_rule(*gauss_legendre_panels(-r, r, panels, order=16), model.dimension)
+
+
+def _support_integral(model: KernelModel, f) -> float:
+    """integral of f over the support box: `kernel_quadrature`, levels run by `refine_each`."""
+
+    def at_level(_, level):
+        y, w = kernel_quadrature(model, level)
+        return np.array([np.dot(w, f(y))])
+
+    out, _, failed = refine_each(
+        at_level, 1, range(6), _TENSOR_TOL, f"tensor integral in d={model.dimension}"
+    )
+    if failed:
+        raise failed[0]
+    return float(out[0])
 
 
 def builtin_kernel(name: str, d: int = 1) -> KernelModel:
@@ -383,10 +381,9 @@ def kernel_moment(model: KernelModel, s: int, axis: int = 0) -> float:
     if axis < 0 or axis >= model.dimension:
         raise ValueError(f"axis {axis} out of range for d={model.dimension}")
     if model.profile is not None:
-        return model.profile.moment(s)
-    k = model.partial_fn(None)
-    f = lambda p: k(p) * p[:, axis] ** s
-    return _tensor_integral(f, model.dimension, model.support_radius)
+        # an even profile's odd moments vanish
+        return model.profile.moment(s) if s % 2 == 0 else 0.0
+    return _support_integral(model, lambda p: model.eval(p) * p[:, axis] ** s)
 
 
 def norm_moment(model: KernelModel, s: int = 2) -> float:
@@ -394,7 +391,5 @@ def norm_moment(model: KernelModel, s: int = 2) -> float:
     if s == 2 and model.negative_support_measure == 0.0:
         # ||y||^2 splits across axes and |K| = K
         return sum(kernel_moment(model, 2, axis=j) for j in range(model.dimension))
-    k = model.partial_fn(None)
-    f = lambda p: np.abs(k(p)) * np.sum(p * p, axis=1) ** (s / 2.0)
-    return _tensor_integral(f, model.dimension, model.support_radius)
+    return _support_integral(model, lambda p: abs(model.eval(p)) * (p * p).sum(axis=1) ** (s / 2.0))
 

@@ -69,8 +69,8 @@ def check_exp_bound(max_arg: float, context: str) -> None:
 
 
 def as_count(value, what: str, minimum: int = 1) -> int:
-    """value as an int >= minimum; floats are refused, even integral ones."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """value as an int >= minimum; floats and booleans are refused, even integral ones."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}; got {value!r}")
     return int(value)
 

@@ -514,6 +514,31 @@ def test_unread_field_neither_refuses_nor_changes_output(tmp_path, sub, fields):
     assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
 
+# A field of the wrong type, or a number beyond the float range, is a config
+# error (exit 2) before any run: not a traceback (exit 1) or a run (exit 0).
+_TYPED_FAULTS = [
+    ("bias", '{"m_q": "x"}', "m_q must be a finite number > 0 when given; got 'x'"),
+    ("bias", '{"m_q": 1e400}', "m_q must be a finite number > 0 when given; got inf"),
+    ("bias", '{"m_q": 1' + 400 * "0" + '}', "m_q must be a finite number > 0 when given"),
+    ("bias", '{"m_q": true}', "m_q must be a finite number > 0 when given; got True"),
+    ("cgf", '{"u_values": {"a": 1}}', "config error: "),
+    ("simulate", '{"replications": true, "scaling_kind": "power", "scaling_b": 0.1}',
+     "replications must be an integer >= 1; got True"),
+]
+
+
+@pytest.mark.parametrize("sub,doc,message", _TYPED_FAULTS,
+                         ids=[f"{sub}-{doc[:40]}" for sub, doc, _ in _TYPED_FAULTS])
+def test_config_of_the_wrong_type_exits_two(tmp_path, capsys, sub, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    rc = cli.main([sub, "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o" / f"{sub}.csv").exists()
+
+
 @pytest.mark.parametrize("sub", ["cgf", "chernoff"])
 def test_h2_follows_the_regime_not_the_region(tmp_path, capsys, sub):
     # the ldp rate reads h_n = cn^{-a} whether or not a region is present

@@ -127,6 +127,23 @@ def test_thread_count_defaults_to_the_usable_cores(monkeypatch):
     assert deviations._thread_count() == 2
 
 
+@pytest.mark.parametrize("raw", ["257", "10000"])
+def test_thread_count_refuses_more_than_the_ceiling(monkeypatch, raw):
+    # only the count is read here: no worker starts
+    monkeypatch.setenv("RECDEV_THREADS", raw)
+    with pytest.raises(ValueError, match=f"^RECDEV_THREADS must be at most 256; got {raw!r}$"):
+        deviations._thread_count()
+
+
+def test_thread_count_ceiling_holds_for_the_default_too(monkeypatch):
+    assert deviations.MAX_THREADS == 256
+    monkeypatch.setenv("RECDEV_THREADS", "256")
+    assert deviations._thread_count() == 256
+    monkeypatch.delenv("RECDEV_THREADS")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert deviations._thread_count() == 256
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5", ""])
 def test_thread_count_refuses_anything_but_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv("RECDEV_THREADS", raw)

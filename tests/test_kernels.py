@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from recdev import kernels, ratefn
 from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec
-from recdev.densities import GaussianDensity
+from recdev.densities import GaussianDensity, UniformBoxDensity
 from recdev.deviations import DeviationExperiment
 from recdev.estimator import RecursiveEstimator, batch_values, expected_estimate
 from recdev.kernels import (
+    _TENSOR_TOL,
     KernelModel,
     MultiIndex,
     as_multi_index,
@@ -21,7 +24,11 @@ from recdev.kernels import (
     kernel_moment,
     kernel_quadrature,
     norm_moment,
+    tensor_grid,
+    tensor_rule,
 )
+from recdev.numerics import tanh_sinh, within
+from recdev.ratefn import PsiEvaluator
 
 KERNEL_NAMES = ("gaussian", "epanechnikov", "quartic")
 
@@ -114,6 +121,82 @@ def test_custom_kernel_from_fn_alone(d):
     assert_allclose(k.l2_norm_sq(), 0.6**d, rtol=1e-9)
     with pytest.raises(ValueError, match="up to order 0, requested \\|alpha\\| = 1"):
         k.deriv_eval((1,) + (0,) * (d - 1), pts)
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_tensor_rule_slices_concatenate_to_the_whole_rule(d):
+    # psi's z rule, made chunk by chunk, is the whole rule bit for bit
+    x, w = tanh_sinh(0.0, 1.0, 0)
+    pts, ws = tensor_rule(x, w, d)
+    n = len(x) ** d
+    for step in (1, 4, 10, n - 1, n):
+        parts = [tensor_rule(x, w, d, j, min(j + step, n)) for j in range(0, n, step)]
+        assert np.concatenate([p for p, _ in parts]).tobytes() == pts.tobytes()
+        assert np.concatenate([q for _, q in parts]).tobytes() == ws.tobytes()
+    # row-major with the last axis fastest; each weight is a left-to-right product
+    rows = list(itertools.product(range(len(x)), repeat=d))
+    assert pts.tobytes() == np.array([[x[i] for i in r] for r in rows]).tobytes()
+    assert ws.tobytes() == np.array([math.prod([w[i] for i in r]) for r in rows]).tobytes()
+    assert tensor_grid(x, d).tobytes() == pts.tobytes()
+
+
+def _custom_copy(name, d):
+    """A built-in kernel's body without its profile, so every constant is integrated."""
+    base = builtin_kernel(name, d)
+    return KernelModel(
+        name=f"custom_{name}",
+        dimension=d,
+        fn=base.fn,
+        support_radius=base.support_radius,
+        positive_support_measure=base.positive_support_measure,
+        negative_support_measure=0.0,
+        max_derivative_order=0,
+    )
+
+
+@pytest.mark.parametrize("name", ("epanechnikov", "quartic"))
+@pytest.mark.parametrize("d", (1, 2))
+def test_custom_constants_on_the_support_rule_match_the_closed_forms(name, d):
+    closed, custom = builtin_kernel(name, d), _custom_copy(name, d)
+    m2, m4 = kernel_moment(closed, 2), kernel_moment(closed, 4)
+    pairs = [(custom.l2_norm_sq(), closed.l2_norm_sq()), (norm_moment(custom, 2), d * m2)]
+    for s in (0, 1, 2, 4):
+        pairs += [(kernel_moment(custom, s, axis=j), kernel_moment(closed, s)) for j in range(d)]
+    # ||y||^4 = sum_j y_j^4 + sum_(j != k) y_j^2 y_k^2 under a product kernel of unit mass
+    pairs.append((norm_moment(custom, 4), d * m4 + d * (d - 1) * m2 * m2))
+    for got, want in pairs:
+        assert within(abs(got - want), abs(want), _TENSOR_TOL), (got, want)
+
+
+def test_tensor_rules_refuse_more_than_three_dimensions_before_any_node(monkeypatch):
+    def no_nodes(*args, **kwargs):
+        raise AssertionError("a node was built")
+
+    for module, name in ((kernels, "gauss_legendre_panels"), (kernels, "tensor_rule"),
+                         (ratefn, "tanh_sinh"), (ratefn, "tensor_rule")):
+        monkeypatch.setattr(module, name, no_nodes)
+    d = kernels.MAX_TENSOR_DIMENSION + 1
+    assert d == 4
+    with pytest.raises(ValueError, match="^tensor quadrature beyond d = 3 is not supported$"):
+        kernel_quadrature(builtin_kernel("gaussian", d))
+    with pytest.raises(ValueError, match="^tensor quadrature beyond d = 3 is not supported$"):
+        _parabola_kernel(d).l2_norm_sq()
+    with pytest.raises(ValueError, match="^sup scan beyond d = 3 is not supported; supply the constant$"):
+        _parabola_kernel(d).sup_norm()
+    with pytest.raises(ValueError, match="^psi quadrature supports d <= 3$"):
+        PsiEvaluator(builtin_kernel("epanechnikov", d), 0.1)
+
+
+def test_kernels_and_densities_share_the_derivative_order_check():
+    with pytest.raises(
+        ValueError, match=r"^kernel 'epanechnikov' supports derivatives up to order 0, requested \|alpha\| = 1$"
+    ):
+        builtin_kernel("epanechnikov", 1).partial_fn((1,))
+    with pytest.raises(
+        ValueError, match=r"^density 'uniform_box' supports derivatives up to order 0, requested \|alpha\| = 2$"
+    ):
+        UniformBoxDensity([0.0], [1.0]).partial((2,), [0.5])
+    assert kernels.derivative_index((1, 0), builtin_kernel("quartic", 2), "kernel").order == 1
 
 
 def test_support_measures():

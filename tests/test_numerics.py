@@ -11,10 +11,13 @@ from recdev.numerics import (
     NeumaierSum,
     OverflowGuardError,
     QuadratureError,
+    as_count,
+    as_seed,
     check_exp_bound,
     compensated_cumsum,
     gauss_legendre_panels,
     refine_each,
+    sample_sizes,
     tanh_sinh,
 )
 
@@ -93,6 +96,18 @@ def test_refine_each_evaluates_only_the_open_elements():
     for i in range(3):
         alone, level, _ = refine_each(lambda j, lv: at_level(j + i, lv), 1, range(6), 1e-12, "one")
         assert level.tolist() == [levels[i]] and alone.tobytes() == val[:, i : i + 1].tobytes()
+
+
+def test_counts_refuse_booleans():
+    # replications, seed, n_list entries, dimension and alpha components all pass through as_count
+    for flag in (True, False, np.bool_(True)):
+        with pytest.raises(ValueError, match=f"^count must be an integer >= 0; got {flag!r}$"):
+            as_count(flag, "count", 0)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0; got True$"):
+        as_seed(True)
+    with pytest.raises(ValueError, match="n_list must be strictly increasing positive integers"):
+        sample_sizes([True, 2])
+    assert as_count(1, "count") == 1 and as_count(np.int64(3), "count") == 3
 
 
 def test_check_exp_bound():
