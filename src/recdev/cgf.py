@@ -17,11 +17,8 @@ density localized by the kernel support,
 which is evaluated by kernel-support quadrature.  The centring term uses
 the integrated-by-parts form int K(z) (d^alpha f)(x - h_i z) dz, which has
 no h^-|alpha| amplification; it is computed once per n and kept on the
-`CgfSpec`.  Each factor depends on i only through h_i, so the sum over
-i <= n is `bandwidth.bandwidth_sum` (a Chebyshev interpolant in log h,
-certified by two degrees, or the direct sum), and at each u the two
-quadrature levels must agree by `numerics.refine_each` before its value is
-returned.
+`CgfSpec`.  Both sums over i <= n run on `estimator.support_sum`, the one
+engine behind E f_n and L_n, which holds each u to its own tolerance.
 
 L_n converges pointwise to an explicit limit: the transform-based curve
 f(x)(1-ad) (psi(u) - u/(1-ad)) for the plain unscaled estimator, and the
@@ -43,11 +40,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bandwidth import SUM_BLOCK_ENTRIES, BandwidthSchedule, ScalingSequence, bandwidth_sum
+from .bandwidth import BandwidthSchedule, ScalingSequence
 from .densities import Density
-from .kernels import KernelModel, derivative_index, kernel_quadrature
-from .numerics import check_exp_bound, refine_each, sample_sizes
-from .estimator import expected_estimate
+from .kernels import KernelModel, derivative_index
+from .numerics import check_exp_bound, sample_sizes
+from .estimator import expected_estimate, support_sum
 from .ratefn import PsiEvaluator, RateValue, _finite
 
 # the level-1 and level-2 kernel-support quadratures must agree to this gap
@@ -179,59 +176,39 @@ def _flat_u(u) -> np.ndarray:
     return arr
 
 
-def _finite_n_at_level(spec: CgfSpec, u: np.ndarray, n: int, level: int) -> np.ndarray:
-    """(v_n^2/a_n) sum_i log E exp(theta_i Y_i), one value per u, at one quadrature level."""
-    kernel, schedule = spec.kernel, spec.schedule
-    d = kernel.dimension
-    p = d + spec.alpha.order
-    v_n = spec.scaling.value(n)
-    a_n = schedule.prefix_sum(spec.beta, n)
-    y, w = kernel_quadrature(kernel, level=level)
-    ky = kernel.deriv_eval(spec.alpha, y)
-    # theta_i is largest at the smallest bandwidth; guard before any exp
-    theta_scale = a_n / (n * v_n)
-    max_theta = float(np.max(np.abs(u))) * theta_scale / float(np.min(schedule.values(n))) ** p
-    check_exp_bound(max_theta * float(np.max(np.abs(ky))), "finite-n cumulant")
-
-    # quadrature nodes per block, so the (bandwidths, u, nodes) temporaries
-    # of one block stay within the budget whatever len(u)
-    kstep = max(1, SUM_BLOCK_ENTRIES // (len(u) + d))
-
-    def terms(hb):
-        theta = (theta_scale / hb**p)[:, None] * u[None, :]  # (block, nu)
-        # sum_k w_k expm1(theta_i ky_k) f(x - h_i y_k), for every (i, u)
-        m = np.zeros((len(hb), len(u)))
-        for k0 in range(0, len(y), kstep):
-            yk = y[k0 : k0 + kstep]
-            args = spec.point[None, None, :] - hb[:, None, None] * yk[None, :, :]
-            fw = spec.density.pdf(args.reshape(-1, d)).reshape(len(hb), len(yk)) * w[None, k0 : k0 + kstep]
-            m += np.einsum("iuk,ik->iu", np.expm1(theta[:, :, None] * ky[None, None, k0 : k0 + kstep]), fw)
-        return np.log1p(hb[:, None] ** d * m)
-
-    return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * (len(u) + d), v_n * v_n / a_n)
-
-
 def cgf_finite_n(spec: CgfSpec, u, n: int):
     """L_n(u) at sample size n, scalar or vectorised over u.
 
-    The log-MGF sum over i is `bandwidth.bandwidth_sum` of a kernel-support
-    quadrature per bandwidth (a Chebyshev interpolant in log h certified by
-    two degrees, or the direct sum), and the centring term is the spec's
-    cached exact mean.  The quadrature inside each factor is refined once,
-    and at each u the two resolutions of L_n must agree within
-    `_FINITE_N_TOL`, relative once |L_n(u)| exceeds 1; otherwise the first
-    such u's QuadratureError is raised.
+    `support_sum` with the node factor expm1(theta_i (d^alpha K)(y)) w and
+    the post-map log1p(h^d m), centred by the spec's cached exact mean; each
+    u's two levels must agree within `_FINITE_N_TOL` (relative above 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     arr = _flat_u(u)
-    centring = arr * spec.scaling.value(n) * spec.mean(n)
-    out, _, failed = refine_each(
-        lambda idx, level: _finite_n_at_level(spec, arr[idx], n, level) - centring[idx],
-        len(arr), (1, 2), _FINITE_N_TOL, "finite-n cumulant quadrature",
-    )
-    if failed:
-        raise failed[min(failed)]
+    d = spec.kernel.dimension
+    p = d + spec.alpha.order
+    v_n = spec.scaling.value(n)
+    a_n = spec.schedule.prefix_sum(spec.beta, n)
+    theta_scale = a_n / (n * v_n)
+
+    def nodes(idx, y, w):
+        ky = spec.kernel.deriv_eval(spec.alpha, y)
+        # theta_i is largest at the smallest bandwidth; guard before any exp
+        max_theta = float(np.abs(arr[idx]).max()) * theta_scale / float(np.min(spec.schedule.values(n))) ** p
+        check_exp_bound(max_theta * float(np.max(np.abs(ky))), "finite-n cumulant")
+
+        def contract(hb, s, g):
+            # sum_k w_k expm1(theta_i ky_k) f(x - h_i y_k), for every (i, u)
+            theta = (theta_scale / hb**p)[:, None] * arr[idx]
+            return np.einsum("iuk,ik->iu", np.expm1(theta[:, :, None] * ky[None, None, s]), g[..., 0] * w[s])
+
+        return spec.point[None], contract
+
+    # per node, a block holds (u, nodes) temporaries and the arguments x - h y
+    out = support_sum(spec.kernel, spec.schedule, spec.density, n, len(arr), nodes, len(arr) + d,
+                      v_n * v_n / a_n, _FINITE_N_TOL, "finite-n cumulant quadrature",
+                      post=lambda hb, m: np.log1p(hb[:, None] ** d * m), centre=arr * v_n * spec.mean(n))
     return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
 

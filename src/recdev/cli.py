@@ -62,7 +62,7 @@ from .deviations import (
 from .estimator import batch_values
 from .kernels import builtin_kernel, tensor_grid
 from .numerics import OverflowGuardError, QuadratureError, RootFindError
-from .numerics import as_count, as_seed, sample_sizes
+from .numerics import as_count, as_seed, positive_finite, sample_sizes
 
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 
@@ -210,8 +210,7 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
     simulate = subcommand == "simulate"
     if simulate and cfg.mode is not None and cfg.mode not in _MODES:
         bad.append(f"mode must be one of {', '.join(_MODES)}; got '{cfg.mode}'")
-    finite_m_q = type(cfg.m_q) in (int, float) and 0 < cfg.m_q <= sys.float_info.max
-    if subcommand == "bias" and cfg.m_q is not None and not finite_m_q:
+    if subcommand == "bias" and cfg.m_q is not None and not positive_finite(cfg.m_q):
         bad.append(f"m_q must be a finite number > 0 when given; got {cfg.m_q!r}")
     try:
         if subcommand in ("cgf", "simulate", "bias", "chernoff"):  # H7 reads q
@@ -220,7 +219,11 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             sample_sizes(cfg.n_list)
         if subcommand == "estimate":  # the other sampling subcommands build an experiment
             as_seed(cfg.seed)
-        if subcommand == "cgf":  # a TypeError (u not numbers) is a config error too
+        if subcommand == "cgf":  # u that are not numbers name the field; a non-finite u is cgf's error
+            try:
+                np.asarray(cfg.u_values, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(f"u_values must be a list of numbers; got {cfg.u_values!r}") from None
             _flat_u(cfg.u_values)
         kernel = builtin_kernel(cfg.kernel, cfg.dimension)
         kernel.partial_fn(cfg.alpha or None)

@@ -54,7 +54,7 @@ import numpy as np
 from .cgf import CgfSpec, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate, kernel_terms
 from .kernels import as_points
-from .numerics import BLOCK_ENTRIES, as_count, as_seed, sample_sizes
+from .numerics import BLOCK_ENTRIES, as_count, as_seed, positive_finite, sample_sizes
 from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
@@ -95,13 +95,13 @@ class DeviationExperiment:
     def __post_init__(self):
         self.replications = as_count(self.replications, "replications")
         self.rng_seed = as_seed(self.rng_seed)
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be finite and > 0; got {self.delta}")
+        if not positive_finite(self.delta):
+            raise ValueError(f"delta must be finite and > 0; got {self.delta!r}")
         self.n_list = sample_sizes(self.n_list)
         if self.region is not None:
             self.region = region_grid(self.region, self.spec.kernel.dimension)
-        if self.xi is not None and not (math.isfinite(self.xi) and self.xi > 0):
-            raise ValueError(f"xi must be finite and > 0; got {self.xi}")
+        if self.xi is not None and not positive_finite(self.xi):
+            raise ValueError(f"xi must be finite and > 0; got {self.xi!r}")
 
 
 @dataclass(frozen=True)

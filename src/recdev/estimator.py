@@ -20,15 +20,13 @@ of a block is `kernel_terms`, which the Monte Carlo harness in `deviations`
 calls too, so the simulated estimator is this one's arithmetic.
 
 Also provided: a closed-batch evaluation used as an independent test
-oracle (its own kernel and summation code), the exact mean of the
-estimator under a known sampling density, and the bias normalizer and
-uniform bias bound used in convergence studies.  The exact mean is a
-kernel-support quadrature per bandwidth, summed over i <= n by
-`bandwidth.bandwidth_sum`: a Chebyshev interpolant in log h whose cost does
-not grow with n, certified by comparing two polynomial degrees and falling
-back to the direct sum when that certificate fails; each point's two
-quadrature levels must then agree by `numerics.refine_each` before its mean
-is returned.
+oracle (its own kernel and summation code), the exact mean E f_n under a
+known sampling density, and the bias normalizer and uniform bias bound
+used in convergence studies.  `support_sum` is the one engine behind E f_n
+and the finite-n cumulant L_n of `cgf`: a kernel-support quadrature per
+bandwidth, summed over i <= n by `bandwidth.bandwidth_sum` (a Chebyshev
+interpolant in log h whose cost does not grow with n, or the direct sum),
+each element's two quadrature levels checked by `numerics.refine_each`.
 """
 
 from __future__ import annotations
@@ -47,15 +45,11 @@ from .kernels import (
     kernel_quadrature,
     norm_moment,
 )
-from .numerics import BLOCK_ENTRIES, NeumaierSum, refine_each
+from .numerics import BLOCK_ENTRIES, REAL_SCALARS, NeumaierSum, refine_each
 
 # two quadrature levels of each point's exact mean must agree to this gap,
 # relative once that mean exceeds 1
 _MEAN_TOL = 1e-9
-
-
-# inputs that `RecursiveEstimator.update` takes by float(x) in d = 1
-_REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 def _check_finite(X: np.ndarray, what: str = "observations") -> None:
@@ -143,7 +137,7 @@ class RecursiveEstimator:
         this observation fills the pending block.
         """
         try:
-            if self._x1 is not None and isinstance(x, _REAL_SCALARS):
+            if self._x1 is not None and isinstance(x, REAL_SCALARS):
                 x = float(x)
                 if not math.isfinite(x):
                     raise ValueError(f"observation must be finite; got {x}")
@@ -241,6 +235,45 @@ def batch_values(
     return acc.total / n
 
 
+def support_sum(kernel, schedule, density, n, count, nodes, width, weight, tol, what,
+                alpha=None, post=None, centre=None) -> np.ndarray:
+    """weight * sum_{i<=n} F_j(h_i) for each of `count` elements j, refined by quadrature level.
+
+    F_j(h) is a kernel-support quadrature.  At levels 1 and 2 of
+    `kernel_quadrature` (nodes y, weights w), `nodes(idx, y, w)` gives the
+    points x of the open elements idx and contract(h, s, g), which maps the
+    density's alpha-partial g at x - h y[s], shape (len(h), len(y[s]),
+    len(x)), to rows (len(h), len(idx)).  The nodes run in chunks of
+    SUM_BLOCK_ENTRIES // width (`width`: temporaries per node and
+    bandwidth), the rows of the chunks are added, mapped by post(h, rows)
+    if given, summed over i by `bandwidth_sum` and less `centre` if given.
+    `refine_each` then holds each element to `tol`; the first failure
+    raises its QuadratureError naming `what`.
+    """
+    kstep = max(1, SUM_BLOCK_ENTRIES // width)
+
+    def at_level(idx, level):
+        y, w = kernel_quadrature(kernel, level=level)
+        x, contract = nodes(idx, y, w)
+
+        def terms(hb):
+            rows = np.zeros((len(hb), len(idx)))
+            for k0 in range(0, len(y), kstep):
+                s = slice(k0, k0 + kstep)
+                args = x[None, None, :, :] - hb[:, None, None, None] * y[None, s, None, :]
+                g = density.partial(alpha, args.reshape(-1, x.shape[1])).reshape(len(hb), -1, len(x))
+                rows += contract(hb, s, g)
+            return rows if post is None else post(hb, rows)
+
+        out = bandwidth_sum(schedule, n, terms, min(len(y), kstep) * width, weight)
+        return out if centre is None else out - centre[idx]
+
+    out, _, failed = refine_each(at_level, count, (1, 2), tol, what)
+    if failed:
+        raise failed[min(failed)]
+    return out
+
+
 def expected_estimate(
     kernel: KernelModel,
     schedule: BandwidthSchedule,
@@ -252,45 +285,22 @@ def expected_estimate(
     """Exact mean (1/n) sum_i int K(y) g(x - h_i y) dy with g the alpha-partial of f.
 
     Integrating the kernel against the shifted density in the substituted
-    variable keeps every factor bounded (no h^-|alpha| appears).  Each term
-    is a kernel-support quadrature and depends on i only through h_i, so
-    the sum over i is `bandwidth.bandwidth_sum`: a Chebyshev interpolant in
-    log h certified by two degrees, or the direct sum when that does not
-    pay or does not converge.  The quadrature is refined once, and at each
-    point the two levels must agree within `_MEAN_TOL`, relative once that
-    mean exceeds 1; disagreement raises the first such point's
-    QuadratureError rather than returning a doubtful mean.  Returns one
-    value per point, shape (m,).
+    variable keeps every factor bounded (no h^-|alpha| appears).  This is
+    `support_sum` with the node factor w K(y); each point's two levels must
+    agree within `_MEAN_TOL` (relative above 1).  Returns shape (m,).
     """
     mi = as_multi_index(alpha, kernel.dimension)
     pts, _ = as_points(points, kernel.dimension)
     if n < 1:
         raise ValueError("n must be >= 1")
-    m, d = pts.shape
-    # quadrature nodes per block, so one block of arguments x - h y stays
-    # within the temporary budget whatever d and the point count
-    kstep = max(1, SUM_BLOCK_ENTRIES // (m * d))
 
-    def at_level(idx, level):
-        y, w = kernel_quadrature(kernel, level=level)
+    def nodes(idx, y, w):
         wk = w * kernel.partial_fn(None)(y)
-        at = pts[idx]
+        return pts[idx], lambda hb, s, g: np.einsum("k,bkm->bm", wk[s], g)
 
-        def terms(hb):
-            rows = np.zeros((len(hb), len(at)))
-            for k0 in range(0, len(y), kstep):
-                yk = y[k0 : k0 + kstep]
-                args = at[None, None, :, :] - hb[:, None, None, None] * yk[None, :, None, :]
-                g = density.partial(mi.components, args.reshape(-1, d))
-                rows += np.einsum("k,bkm->bm", wk[k0 : k0 + kstep], g.reshape(len(hb), len(yk), -1))
-            return rows
-
-        return bandwidth_sum(schedule, n, terms, min(len(y), kstep) * len(at) * d, 1.0 / n)
-
-    out, _, failed = refine_each(at_level, m, (1, 2), _MEAN_TOL, "mean-estimate quadrature")
-    if failed:
-        raise failed[min(failed)]
-    return out
+    # per node, a block's arguments x - h y hold all m points' d coordinates
+    return support_sum(kernel, schedule, density, n, len(pts), nodes, pts.size, 1.0 / n,
+                       _MEAN_TOL, "mean-estimate quadrature", alpha=mi.components)
 
 
 def bias_normalizer(schedule: BandwidthSchedule, q: int, n: int) -> float:

@@ -1,6 +1,6 @@
 """Shared numerical primitives: quadrature rules, compensated sums, exp guards,
-the block budgets `BLOCK_ENTRIES` and `ROW_BLOCK_ENTRIES`, and the integer
-checks (`as_count`, `as_seed`, `sample_sizes`) the constructors share.
+the block budgets `BLOCK_ENTRIES` and `ROW_BLOCK_ENTRIES`, and the checks
+(`as_count`, `positive_finite`, `as_seed`, `sample_sizes`) inputs share.
 
 Two node families cover every integral in the package:
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -41,6 +42,8 @@ BLOCK_ENTRIES = 1 << 16
 # the heap instead of being mapped and faulted in again on every call, and
 # within L2 cache
 ROW_BLOCK_ENTRIES = 1 << 14
+# the scalar types read as one real number (booleans among them, where a caller allows them)
+REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
 class QuadratureError(RuntimeError):
@@ -73,6 +76,11 @@ def as_count(value, what: str, minimum: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}; got {value!r}")
     return int(value)
+
+
+def positive_finite(value) -> bool:
+    """Whether value is a real number in (0, float max]; booleans, non-numbers and larger ints are not."""
+    return isinstance(value, REAL_SCALARS) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
 
 
 def sample_sizes(ns, what: str = "n_list") -> tuple:

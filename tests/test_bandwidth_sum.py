@@ -347,7 +347,7 @@ def test_cumulant_memory_does_not_grow_with_u():
 
 def test_cumulant_node_chunks_do_not_move_the_value(monkeypatch):
     # chunking the nodes only reorders the quadrature sum
-    import recdev.cgf
+    import recdev.estimator
 
     spec = CgfSpec(
         builtin_kernel("gaussian", 1),
@@ -358,6 +358,21 @@ def test_cumulant_node_chunks_do_not_move_the_value(monkeypatch):
     )
     u = np.linspace(-2.0, 2.0, 5)
     whole = cgf_finite_n(spec, u, 100)
-    monkeypatch.setattr(recdev.cgf, "SUM_BLOCK_ENTRIES", 6 * 50)
+    monkeypatch.setattr(recdev.estimator, "SUM_BLOCK_ENTRIES", 6 * 50)
     chunked = cgf_finite_n(spec, u, 100)
+    assert np.max(np.abs(chunked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_mean_node_chunks_do_not_move_the_value(monkeypatch):
+    import recdev.estimator
+
+    kernel = builtin_kernel("gaussian", 1)
+    sched = BandwidthSchedule(kind="power", c=0.5, a=0.2)
+    f = DENSITIES["mixture"]
+    pts = np.linspace(-1.0, 2.0, 5)
+    whole = expected_estimate(kernel, sched, f, 100, pts)
+    monkeypatch.setattr(recdev.estimator, "SUM_BLOCK_ENTRIES", 5 * 50)
+    # 50 nodes per chunk: the level-1 rule splits into several
+    assert len(kernel_quadrature(kernel, 1)[0]) > 3 * 50
+    chunked = expected_estimate(kernel, sched, f, 100, pts)
     assert np.max(np.abs(chunked - whole)) <= 1e-14 * np.max(np.abs(whole))

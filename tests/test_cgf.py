@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from recdev import cgf
+from recdev import estimator
 from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_finite_n, cgf_limit, convergence_diagnostic
 from recdev.densities import GaussianDensity
+from recdev.estimator import expected_estimate
 from recdev.kernels import builtin_kernel
 from recdev.numerics import OverflowGuardError, QuadratureError
 from recdev.ratefn import PsiEvaluator
@@ -92,19 +93,46 @@ def test_finite_n_matches_scipy_oracle_derivative():
     assert_allclose(ours, ref, rtol=1e-8, atol=1e-13)
 
 
+def _engine_levels(monkeypatch, value):
+    """Make each bandwidth sum of `estimator.support_sum` return value(level)."""
+    levels = []
+    rule = estimator.kernel_quadrature
+
+    def quadrature(kernel, level):
+        levels.append(level)
+        return rule(kernel, level)
+
+    monkeypatch.setattr(estimator, "kernel_quadrature", quadrature)
+    monkeypatch.setattr(estimator, "bandwidth_sum", lambda *args: value(levels[-1]))
+
+
 def test_finite_n_holds_each_u_to_its_own_tolerance(monkeypatch):
     # levels 1 and 2 of the fake sum agree at u = 30 (about 1e3) and differ
     # by 2.3e-6 at u = 0.5 (about 0.015): inside the pair's largest value
     # times 1e-8, outside u = 0.5's own 1e-8
-    def at_level(spec, u, n, level):
-        return np.where(u > 1.0, 1e3, 0.015 + (2.3e-6 if level == 2 else 0.0))
-
-    monkeypatch.setattr(cgf, "_finite_n_at_level", at_level)
     spec = _spec()
-    assert cgf_finite_n(spec, 30.0, 100) == 1e3 - 30.0 * spec.mean(100)
+    mean = spec.mean(100)  # before the fake replaces the sums
+    u = 30.0
+    # the fake reads the u of the call under way
+    _engine_levels(monkeypatch, lambda level: np.where(np.atleast_1d(u) > 1.0, 1e3,
+                                                       0.015 + (2.3e-6 if level == 2 else 0.0)))
+    assert cgf_finite_n(spec, u, 100) == 1e3 - 30.0 * mean
     for u in (0.5, [30.0, 0.5]):
         with pytest.raises(QuadratureError, match="finite-n cumulant quadrature"):
             cgf_finite_n(spec, u, 100)
+
+
+def test_mean_holds_each_point_to_its_own_tolerance(monkeypatch):
+    # the same fake at the mean's 1e-9: a 2.3e-7 gap at x = 1 (a mean of
+    # about 0.015) fails, though it is within 1e-9 of the 1e3 at x = 0
+    x = [0.0]
+    _engine_levels(monkeypatch, lambda level: np.where(np.equal(x, 0.0), 1e3,
+                                                       0.015 + (2.3e-7 if level == 2 else 0.0)))
+    sched = BandwidthSchedule(kind="power", c=0.7, a=0.3)
+    assert expected_estimate(KERNEL, sched, DENSITY, 100, x)[0] == 1e3
+    for x in ([1.0], [0.0, 1.0]):
+        with pytest.raises(QuadratureError, match="mean-estimate quadrature"):
+            expected_estimate(KERNEL, sched, DENSITY, 100, x)
 
 
 def test_regime_classification():

@@ -522,6 +522,14 @@ _TYPED_FAULTS = [
     ("bias", '{"m_q": 1' + 400 * "0" + '}', "m_q must be a finite number > 0 when given"),
     ("bias", '{"m_q": true}', "m_q must be a finite number > 0 when given; got True"),
     ("cgf", '{"u_values": {"a": 1}}', "config error: "),
+    ("cgf", '{"u_values": ["a"]}', "u_values must be a list of numbers; got ['a']"),
+    ("simulate", '{"delta": true, "scaling_kind": "power", "scaling_b": 0.1}',
+     "delta must be finite and > 0; got True"),
+    ("simulate", '{"delta": 1' + 400 * "0" + ', "scaling_kind": "power", "scaling_b": 0.1}',
+     "delta must be finite and > 0; got 1000"),
+    ("simulate", '{"delta": "0.2", "scaling_kind": "power", "scaling_b": 0.1}',
+     "delta must be finite and > 0; got '0.2'"),
+    ("simulate", '{"xi": true, "region": "-1:1:0.5"}', "xi must be finite and > 0; got True"),
     ("simulate", '{"replications": true, "scaling_kind": "power", "scaling_b": 0.1}',
      "replications must be an integer >= 1; got True"),
 ]

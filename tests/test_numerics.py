@@ -16,6 +16,7 @@ from recdev.numerics import (
     check_exp_bound,
     compensated_cumsum,
     gauss_legendre_panels,
+    positive_finite,
     refine_each,
     sample_sizes,
     tanh_sinh,
@@ -108,6 +109,13 @@ def test_counts_refuse_booleans():
     with pytest.raises(ValueError, match="n_list must be strictly increasing positive integers"):
         sample_sizes([True, 2])
     assert as_count(1, "count") == 1 and as_count(np.int64(3), "count") == 3
+
+
+def test_positive_finite_is_one_rule_for_delta_xi_and_m_q():
+    for good in (1, 0.2, np.float64(1e-300), np.int64(7), 1.7976931348623157e308):
+        assert positive_finite(good)
+    for bad in (True, np.bool_(True), "0.2", None, 0, -1.0, math.nan, math.inf, 10**400):
+        assert not positive_finite(bad)
 
 
 def test_check_exp_bound():
