@@ -31,13 +31,13 @@ goes back to the direct O(n) sum.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import ROW_BLOCK_ENTRIES, NeumaierSum, as_count, compensated_cumsum, within
+from .numerics import is_real, positive_finite
 
 BANDWIDTH_KINDS = ("power", "power_log")
 SCALING_KINDS = ("constant_one", "power")
@@ -74,10 +74,10 @@ class BandwidthSchedule:
     def __post_init__(self):
         if self.kind not in BANDWIDTH_KINDS:
             raise ValueError(f"kind must be one of {BANDWIDTH_KINDS}, got '{self.kind}'")
-        if not (0 < self.c < math.inf):
-            raise ValueError(f"bandwidth constant c must be finite and > 0, got {self.c}")
-        if not (0.0 <= self.a < 1.0):
-            raise ValueError(f"bandwidth exponent a must satisfy 0 <= a < 1, got {self.a}")
+        if not positive_finite(self.c):
+            raise ValueError(f"bandwidth constant c must be finite and > 0, got {self.c!r}")
+        if not (is_real(self.a) and 0.0 <= self.a < 1.0):
+            raise ValueError(f"bandwidth exponent a must satisfy 0 <= a < 1, got {self.a!r}")
 
     def at(self, i) -> np.ndarray:
         """h_i for each index i >= 1 of an array: the one bandwidth formula.
@@ -95,9 +95,7 @@ class BandwidthSchedule:
 
     def values(self, n: int) -> np.ndarray:
         """h_1 .. h_n as an array."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.at(np.arange(1, n + 1, dtype=np.float64))
+        return self.at(np.arange(1, as_count(n, "n") + 1, dtype=np.float64))
 
     def check_compatible(self, d: int, alpha_order: int) -> None:
         """Error if a(d + 2|alpha|) >= 1, which breaks every normalisation here."""
@@ -111,8 +109,7 @@ class BandwidthSchedule:
 
     def prefix_sums(self, beta: float, n: int) -> np.ndarray:
         """Array of sum_{i<=m} h_i^beta for m = 1..n (cached per beta)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = as_count(n, "n")
         key = float(beta)
         arr = self._cache.get(key)
         if arr is None or len(arr) < n:
@@ -255,18 +252,17 @@ class ScalingSequence:
     def __post_init__(self):
         if self.kind not in SCALING_KINDS:
             raise ValueError(f"scaling kind must be constant_one or power, got '{self.kind}'")
-        if self.kind == "power" and not (0.0 < self.b < 0.5):
-            raise ValueError(f"scaling exponent b must satisfy 0 < b < 1/2, got {self.b}")
-        if self.kind == "constant_one" and self.b != 0.0:
-            raise ValueError("constant_one scaling takes no exponent")
+        if self.kind == "power" and not (is_real(self.b) and 0.0 < self.b < 0.5):
+            raise ValueError(f"scaling exponent b must satisfy 0 < b < 1/2, got {self.b!r}")
+        if self.kind == "constant_one" and not (is_real(self.b) and self.b == 0.0):
+            raise ValueError(f"constant_one scaling takes no exponent; got b={self.b!r}")
 
     @property
     def is_constant_one(self) -> bool:
         return self.kind == "constant_one"
 
     def value(self, n: int) -> float:
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = as_count(n, "n")
         if self.is_constant_one:
             return 1.0
         return float(n) ** self.b

@@ -34,7 +34,6 @@ tabulates the finite-n curves against the limit over a grid of u.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,9 +42,9 @@ import numpy as np
 from .bandwidth import BandwidthSchedule, ScalingSequence
 from .densities import Density
 from .kernels import KernelModel, derivative_index
-from .numerics import check_exp_bound, sample_sizes
+from .numerics import as_count, check_exp_bound, finite_array, is_real, sample_sizes
 from .estimator import expected_estimate, support_sum
-from .ratefn import PsiEvaluator, RateValue, _finite
+from .ratefn import PsiEvaluator, RateValue
 
 # the level-1 and level-2 kernel-support quadratures must agree to this gap
 # at each u, relative once that cumulant exceeds 1
@@ -80,12 +79,9 @@ class CgfSpec:
             raise ValueError(f"density has dimension {self.density.dimension}, kernel has {d}")
         self.schedule.check_compatible(d, self.alpha.order)
         self.beta = d + 2 * self.alpha.order  # the bandwidth exponent of the speed
-        pt = np.asarray(self.point, dtype=np.float64).reshape(-1)
-        if len(pt) != d:
+        self.point = finite_array(self.point, "point").reshape(-1)
+        if len(self.point) != d:
             raise ValueError(f"point must have {d} coordinates")
-        if not np.all(np.isfinite(pt)):
-            raise ValueError(f"point coordinates must be finite; got {pt.tolist()}")
-        self.point = pt
 
     @property
     def regime(self) -> str:
@@ -161,19 +157,11 @@ class CgfSpec:
 
 
 def _check_deviation(t: float, level: float) -> None:
-    """Refuse a non-finite deviation t and a density level that is negative or not finite."""
-    if not math.isfinite(t):
+    """Refuse a t or a level that is not `numerics.is_real`, and a negative level."""
+    if not is_real(t):
         raise ValueError(f"deviation t must be finite; got {t}")
-    if not 0.0 <= level < math.inf:
+    if not (is_real(level) and level >= 0.0):
         raise ValueError(f"density level must be finite and >= 0; got {level}")
-
-
-def _flat_u(u) -> np.ndarray:
-    """u as a flat float64 array; a non-finite u raises ValueError before any quadrature."""
-    arr, err = _finite(u, "cumulant argument u")
-    if err is not None:
-        raise err
-    return arr
 
 
 def cgf_finite_n(spec: CgfSpec, u, n: int):
@@ -183,9 +171,8 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
     the post-map log1p(h^d m), centred by the spec's cached exact mean; each
     u's two levels must agree within `_FINITE_N_TOL` (relative above 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    arr = _flat_u(u)
+    n = as_count(n, "n")
+    arr = finite_array(u, "cumulant argument u").ravel()
     d = spec.kernel.dimension
     p = d + spec.alpha.order
     v_n = spec.scaling.value(n)
@@ -214,7 +201,7 @@ def cgf_finite_n(spec: CgfSpec, u, n: int):
 
 def cgf_limit(spec: CgfSpec, u):
     """The n -> infinity cumulant curve for the spec's regime, scalar or vectorised over u."""
-    arr = _flat_u(u)
+    arr = finite_array(u, "cumulant argument u").ravel()
     fx = spec.density_at_point
     if spec.regime == "ldp":
         ev = spec.psi()
@@ -242,7 +229,7 @@ class CgfConvergence:
 
 def convergence_diagnostic(spec: CgfSpec, u_values, n_values) -> CgfConvergence:
     """Tabulate L_n over u for each n against the limiting curve."""
-    u = _flat_u(u_values)
+    u = finite_array(u_values, "cumulant argument u").ravel()
     ns = np.asarray(sample_sizes(n_values, "n_values"), dtype=np.int64)
     if len(u) == 0:
         raise ValueError("need at least one u")

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from .bandwidth import BandwidthSchedule, ScalingSequence
-from .cgf import CgfSpec, _flat_u, convergence_diagnostic, regime_of
+from .cgf import CgfSpec, convergence_diagnostic, regime_of
 from .densities import build_density
 from .deviations import (
     FINAL_GAP_FRACTION,
@@ -62,7 +62,7 @@ from .deviations import (
 from .estimator import batch_values
 from .kernels import builtin_kernel, tensor_grid
 from .numerics import OverflowGuardError, QuadratureError, RootFindError
-from .numerics import as_count, as_seed, positive_finite, sample_sizes
+from .numerics import as_count, as_seed, finite_array, positive_finite, sample_sizes
 
 _MODES = ("ldp", "mdp", "uniform_bounded", "uniform_unbounded")
 
@@ -169,7 +169,7 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
         return None
     if isinstance(cfg.region, str):
         return tensor_grid(parse_range(cfg.region), cfg.dimension)
-    pts = np.asarray(cfg.region, dtype=np.float64)
+    pts = finite_array(cfg.region, "region")
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1) if cfg.dimension == 1 else pts.reshape(1, -1)
     if pts.ndim != 2 or pts.shape[-1] != cfg.dimension:
@@ -178,8 +178,8 @@ def region_points(cfg: ExperimentConfig) -> Optional[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Validation.  The library constructors check structure (names, ranges,
-# integer fields, shapes) and their messages are reported as they are;
+# Validation.  The library constructors check structure (names, types by the
+# `numerics` rules, ranges, shapes) and their messages are reported as they are;
 # `validate` adds only the hypotheses each subcommand relies on, citing tags.
 
 
@@ -219,14 +219,11 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
             sample_sizes(cfg.n_list)
         if subcommand == "estimate":  # the other sampling subcommands build an experiment
             as_seed(cfg.seed)
-        if subcommand == "cgf":  # u that are not numbers name the field; a non-finite u is cgf's error
-            try:
-                np.asarray(cfg.u_values, dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValueError(f"u_values must be a list of numbers; got {cfg.u_values!r}") from None
-            _flat_u(cfg.u_values)
+        if subcommand == "cgf":
+            finite_array(cfg.u_values, "u_values")
+        alpha = None if cfg.alpha == [] else cfg.alpha  # empty means all zeros
         kernel = builtin_kernel(cfg.kernel, cfg.dimension)
-        kernel.partial_fn(cfg.alpha or None)
+        kernel.partial_fn(alpha)
         schedule = BandwidthSchedule(kind=cfg.bandwidth_kind, c=cfg.bandwidth_c, a=cfg.bandwidth_a)
         scaling = ScalingSequence(kind=cfg.scaling_kind, b=cfg.scaling_b)
         density = build_density(cfg.density, cfg.density_params)
@@ -274,7 +271,7 @@ def _check(cfg: ExperimentConfig, subcommand: str) -> tuple:
         return bad, None
     try:
         spec = CgfSpec(kernel=kernel, schedule=schedule, scaling=scaling, density=density,
-                       point=cfg.point, alpha=cfg.alpha or None)
+                       point=cfg.point, alpha=alpha)
         if subcommand == "rate":
             args = (spec, parse_range(cfg.t_grid))
         elif subcommand == "cgf":

@@ -19,13 +19,7 @@ import functools
 import numpy as np
 
 from .kernels import MultiIndex, as_points, derivative_index, hermite_phi, scan_sup
-
-
-def _require_finite(**params) -> None:
-    """Refuse a NaN or infinite parameter, naming it."""
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite; got {value.tolist()}")
+from .numerics import finite_array
 
 
 class Density:
@@ -65,11 +59,10 @@ class GaussianDensity(Density):
     """Product of independent normals with per-coordinate mean and sigma."""
 
     def __init__(self, mean, sigma):
-        self.mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        self.sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
+        self.mean = np.atleast_1d(finite_array(mean, "mean"))
+        self.sigma = np.atleast_1d(finite_array(sigma, "sigma"))
         if self.mean.shape != self.sigma.shape or self.mean.ndim != 1:
             raise ValueError("mean and sigma must be 1-D arrays of equal length")
-        _require_finite(mean=self.mean, sigma=self.sigma)
         if np.any(self.sigma <= 0):
             raise ValueError("sigma must be positive")
         self.dimension = len(self.mean)
@@ -105,14 +98,13 @@ class GaussianMixtureDensity(Density):
     """Weighted mixture of diagonal gaussians."""
 
     def __init__(self, weights, means, sigmas):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.means = np.atleast_2d(np.asarray(means, dtype=np.float64))
-        self.sigmas = np.atleast_2d(np.asarray(sigmas, dtype=np.float64))
+        self.weights = finite_array(weights, "weights")
+        self.means = np.atleast_2d(finite_array(means, "means"))
+        self.sigmas = np.atleast_2d(finite_array(sigmas, "sigmas"))
         if self.weights.ndim != 1 or len(self.weights) != len(self.means):
             raise ValueError("weights and means must have matching first dimension")
         if self.means.shape != self.sigmas.shape:
             raise ValueError("means and sigmas must have matching shapes")
-        _require_finite(weights=self.weights, means=self.means, sigmas=self.sigmas)
         if np.any(self.weights <= 0) or abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to one")
         if np.any(self.sigmas <= 0):
@@ -150,11 +142,10 @@ class UniformBoxDensity(Density):
     """Constant density on an axis-aligned box; |alpha| = 0 only."""
 
     def __init__(self, low, high):
-        self.low = np.atleast_1d(np.asarray(low, dtype=np.float64))
-        self.high = np.atleast_1d(np.asarray(high, dtype=np.float64))
+        self.low = np.atleast_1d(finite_array(low, "low"))
+        self.high = np.atleast_1d(finite_array(high, "high"))
         if self.low.shape != self.high.shape or self.low.ndim != 1:
             raise ValueError("low and high must be 1-D arrays of equal length")
-        _require_finite(low=self.low, high=self.high)
         if np.any(self.high <= self.low):
             raise ValueError("box must have positive volume")
         self.dimension = len(self.low)

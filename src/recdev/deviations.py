@@ -54,7 +54,7 @@ import numpy as np
 from .cgf import CgfSpec, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate, kernel_terms
 from .kernels import as_points
-from .numerics import BLOCK_ENTRIES, as_count, as_seed, positive_finite, sample_sizes
+from .numerics import BLOCK_ENTRIES, as_count, as_seed, finite_array, positive_finite, sample_sizes
 from .ratefn import RateValue
 
 # Verdict tolerances; the CLI echoes them into each summary as its policy.
@@ -73,10 +73,10 @@ class UnderpoweredExperimentError(RuntimeError):
 
 
 def region_grid(region, d: int) -> np.ndarray:
-    """The (m, d) grid for U; refuses an empty or non-finite one."""
-    grid, _ = as_points(region, d)
-    if len(grid) == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError(f"region grid must hold at least one point, all finite; got {grid.tolist()}")
+    """The (m, d) grid for U; refuses an empty one, and what `numerics.finite_array` refuses."""
+    grid, _ = as_points(finite_array(region, "region"), d)
+    if len(grid) == 0:
+        raise ValueError(f"region grid must hold at least one point; got {grid.tolist()}")
     return grid
 
 

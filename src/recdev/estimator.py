@@ -45,17 +45,11 @@ from .kernels import (
     kernel_quadrature,
     norm_moment,
 )
-from .numerics import BLOCK_ENTRIES, REAL_SCALARS, NeumaierSum, refine_each
+from .numerics import BLOCK_ENTRIES, NeumaierSum, as_count, finite_array, refine_each
 
 # two quadrature levels of each point's exact mean must agree to this gap,
 # relative once that mean exceeds 1
 _MEAN_TOL = 1e-9
-
-
-def _check_finite(X: np.ndarray, what: str = "observations") -> None:
-    """Refuse observations (or grid points) holding NaN or an infinity."""
-    if not np.isfinite(X).all():
-        raise ValueError(f"{what} must be finite")
 
 
 def _block_rows(m: int) -> int:
@@ -106,8 +100,7 @@ class RecursiveEstimator:
         self.schedule = schedule
         self.alpha = derivative_index(alpha, kernel, "kernel")
         schedule.check_compatible(kernel.dimension, self.alpha.order)
-        self.grid, _ = as_points(grid, kernel.dimension)
-        _check_finite(self.grid, "grid points")
+        self.grid, _ = as_points(finite_array(grid, "grid points"), kernel.dimension)
         self._power = kernel.dimension + self.alpha.order
         m, d = self.grid.shape
         self._rows = _block_rows(m)
@@ -127,29 +120,24 @@ class RecursiveEstimator:
     def update(self, x) -> None:
         """Record one observation in O(1), independent of history.
 
-        In d = 1, x is a real scalar (a Python or numpy int or float, taken
-        by `float(x)`) or anything `np.asarray(x, float64)` reshapes to one
-        value (a 0-d array, `[x]`, `np.array([x])`); in d >= 2 anything that
-        reshapes to d values.  Both routes store the same float64.  A
-        malformed x raises here, a NaN, an infinity or an int beyond the
-        float range as ValueError, and `count` and the pending rows do not
+        In d = 1, a float (`np.float64` included) is taken by `float(x)`;
+        any other x, in any d, is read by `numerics.finite_array` and must
+        reshape to d values (in d = 1 an int, an `np.float32`, a 0-d array,
+        `[x]`, `np.array([x])`).
+        Both routes store the same float64.  A malformed x raises here, a
+        bool, a non-number, a NaN, an infinity or an int beyond the float
+        range as ValueError, and `count` and the pending rows do not
         change.  The kernel work runs at the next `values()`, or here when
         this observation fills the pending block.
         """
-        try:
-            if self._x1 is not None and isinstance(x, REAL_SCALARS):
-                x = float(x)
-                if not math.isfinite(x):
-                    raise ValueError(f"observation must be finite; got {x}")
-                self._x1[self._pending] = x
-            else:
-                x = np.asarray(x, dtype=np.float64).reshape(self.kernel.dimension)
-                # per coordinate: np.isfinite costs more than the rest of an update
-                if not all(map(math.isfinite, x.tolist())):
-                    raise ValueError(f"observation must be finite; got {x}")
-                self._X[self._pending] = x
-        except OverflowError:  # an int too large for a float
-            raise ValueError("observation must be finite; got an int beyond the float range") from None
+        # a float is never a bool and float() takes it whole, so finiteness is its one check
+        if self._x1 is not None and isinstance(x, float):
+            x = float(x)
+            if not math.isfinite(x):
+                raise ValueError(f"observation must be finite; got {x!r}")
+            self._x1[self._pending] = x
+        else:
+            self._X[self._pending] = finite_array(x, "observation").reshape(self.kernel.dimension)
         self.count += 1
         self._pending += 1
         if self._pending == self._rows:
@@ -173,11 +161,11 @@ class RecursiveEstimator:
         """Fold in rows of X in order (order matters; see module docstring).
 
         Bit-identical to one `update` per row: the rows are copied into the
-        pending block, which is evaluated each time it fills.  A non-finite
-        entry raises ValueError before any row is recorded.
+        pending block, which is evaluated each time it fills.  An entry that
+        `numerics.finite_array` refuses raises ValueError before any row is
+        recorded.
         """
-        X, _ = as_points(X, self.kernel.dimension)
-        _check_finite(X)
+        X, _ = as_points(finite_array(X, "observations"), self.kernel.dimension)
         i = 0
         while i < len(X):
             k = min(len(X) - i, self._rows - self._pending)
@@ -215,13 +203,11 @@ def batch_values(
     """
     mi = as_multi_index(alpha, kernel.dimension)
     schedule.check_compatible(kernel.dimension, mi.order)
-    X, _ = as_points(X, kernel.dimension)
-    pts, _ = as_points(grid, kernel.dimension)
+    X, _ = as_points(finite_array(X, "observations"), kernel.dimension)
+    pts, _ = as_points(finite_array(grid, "grid points"), kernel.dimension)
     n, d = X.shape
     if n == 0:
         raise ValueError("empty sample")
-    _check_finite(X)
-    _check_finite(pts, "grid points")
     hs = schedule.values(n)
     power = d + mi.order
     acc = NeumaierSum(shape=(len(pts),))
@@ -290,9 +276,8 @@ def expected_estimate(
     agree within `_MEAN_TOL` (relative above 1).  Returns shape (m,).
     """
     mi = as_multi_index(alpha, kernel.dimension)
-    pts, _ = as_points(points, kernel.dimension)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    pts, _ = as_points(finite_array(points, "points"), kernel.dimension)
+    n = as_count(n, "n")
 
     def nodes(idx, y, w):
         wk = w * kernel.partial_fn(None)(y)

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numerics import as_count, gauss_legendre_panels, refine_each
+from .numerics import as_count, gauss_legendre_panels, positive_finite, refine_each
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 # two panel doublings of a custom kernel's constant must agree to this gap,
@@ -74,7 +74,10 @@ def as_multi_index(alpha, dimension: int) -> MultiIndex:
     """alpha as a MultiIndex of the given dimension; None is the zero index."""
     if alpha is None:
         return MultiIndex((0,) * dimension)
-    mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha))
+    try:
+        mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(tuple(alpha))
+    except TypeError:  # not a sequence
+        raise ValueError(f"alpha must be a list of integers; got {alpha!r}") from None
     if mi.dimension != dimension:
         raise ValueError(
             f"alpha {mi.components} has dimension {mi.dimension}, kernel has {dimension}"
@@ -272,8 +275,8 @@ class KernelModel:
 
     def __post_init__(self):
         self.dimension = as_count(self.dimension, "kernel dimension")
-        if self.support_radius <= 0:
-            raise ValueError("support_radius must be positive")
+        if not positive_finite(self.support_radius):
+            raise ValueError(f"support_radius must be finite and > 0; got {self.support_radius!r}")
         if min(self.positive_support_measure, self.negative_support_measure) < 0:
             raise ValueError("support measures must be >= 0")
 

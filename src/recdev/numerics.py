@@ -1,6 +1,10 @@
 """Shared numerical primitives: quadrature rules, compensated sums, exp guards,
-the block budgets `BLOCK_ENTRIES` and `ROW_BLOCK_ENTRIES`, and the checks
-(`as_count`, `positive_finite`, `as_seed`, `sample_sizes`) inputs share.
+the block budgets `BLOCK_ENTRIES` and `ROW_BLOCK_ENTRIES`, and the one rule
+per input kind that every constructor calls: a count (`as_count`, with
+`as_seed` and `sample_sizes` built on it), a real scalar (`is_real`, and
+`positive_finite` for one > 0) and a real array (`real_array`, and
+`finite_array` where a non-finite element raises at once).  None of them
+reads a bool as a number.
 
 Two node families cover every integral in the package:
 
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from typing import Callable
 
 import numpy as np
@@ -42,7 +45,8 @@ BLOCK_ENTRIES = 1 << 16
 # the heap instead of being mapped and faulted in again on every call, and
 # within L2 cache
 ROW_BLOCK_ENTRIES = 1 << 14
-# the scalar types read as one real number (booleans among them, where a caller allows them)
+# the scalar types read as one real number; bool is among them, being int,
+# and `is_real` and `real_array` refuse it
 REAL_SCALARS = (float, int, np.floating, np.integer)
 
 
@@ -78,9 +82,50 @@ def as_count(value, what: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def is_real(value) -> bool:
+    """Whether value is one finite real number: a Python or numpy int or float, not a bool."""
+    try:
+        return isinstance(value, REAL_SCALARS) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def positive_finite(value) -> bool:
-    """Whether value is a real number in (0, float max]; booleans, non-numbers and larger ints are not."""
-    return isinstance(value, REAL_SCALARS) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
+    """Whether value `is_real` and > 0."""
+    return is_real(value) and value > 0
+
+
+def real_array(values, what: str):
+    """(values as a flat float64 array up to its first non-finite element, that element's ValueError or None).
+
+    The one rule for an array of real numbers: every element is a Python or
+    numpy int or float.  A bool, a non-number (a string, a list where a
+    number belongs) or an int beyond the float range raises ValueError
+    naming `what` at once; a NaN or an infinity is returned as the error
+    instead, so that a batch can run the elements before it first.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.dtype.kind not in "fiu" and not all(
+        isinstance(v, REAL_SCALARS) and not isinstance(v, bool) for v in arr.flat
+    ):
+        kind = "a number" if arr.ndim == 0 else "a list of numbers"
+        raise ValueError(f"{what} must be {kind}; got {values!r}")
+    try:
+        flat = np.asarray(arr, dtype=np.float64).ravel()
+    except OverflowError:
+        raise ValueError(f"{what} must be finite; got an int beyond the float range") from None
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if not bad.size:
+        return flat, None
+    return flat[: bad[0]], ValueError(f"{what} must be finite; got {float(flat[bad[0]])!r}")
+
+
+def finite_array(values, what: str) -> np.ndarray:
+    """values as a float64 array of their own shape, by `real_array`'s rule; a non-finite element raises."""
+    flat, err = real_array(values, what)
+    if err is not None:
+        raise err
+    return flat.reshape(np.shape(values))
 
 
 def sample_sizes(ns, what: str = "n_list") -> tuple:

@@ -42,6 +42,7 @@ from .numerics import (
     EXP_ARG_LIMIT,
     RootFindError,
     check_exp_bound,
+    real_array,
     refine_each,
     tanh_sinh,
 )
@@ -253,7 +254,7 @@ class PsiEvaluator:
 
     def _eval(self, u, kinds: tuple):
         """One array (or float) per kind; a failure raises the first failing element's error."""
-        arr, err = _finite(u, "psi argument u")
+        arr, err = real_array(u, "psi argument u")
         arg = np.maximum(np.maximum(arr, 0.0) * self._arg_hi, np.minimum(arr, 0.0) * self._arg_lo)
         over = np.flatnonzero(arg > EXP_ARG_LIMIT)
         stop = over[0] if over.size else len(arr)
@@ -382,7 +383,7 @@ class PsiEvaluator:
         Raises RootFindError if the bracket search or the iteration exhausts
         its budget, and ValueError for targets outside the range of psi'.
         """
-        arr, err = _finite(t, "target t")
+        arr, err = real_array(t, "target t")
         u, failed = self._solve(arr)
         if failed:
             raise failed[min(failed)]
@@ -399,7 +400,7 @@ class PsiEvaluator:
         at t = 0.  The other t are solved together (`inverse_prime`), and
         their psi values are one `psi` call.
         """
-        arr, err = _finite(t, "target t")
+        arr, err = real_array(t, "target t")
         out = [None] * len(arr)
         solve = np.ones(len(arr), dtype=bool) if self.signed_kernel else arr > 0.0
         if not solve.all():
@@ -421,15 +422,3 @@ class PsiEvaluator:
         if err is not None:
             raise err
         return out[0] if np.ndim(t) == 0 else out
-
-
-def _finite(x, what: str):
-    """x as a flat float64 array up to its first non-finite element, and that element's ValueError.
-
-    The error is None when every element is finite.
-    """
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if not bad.size:
-        return arr, None
-    return arr[: bad[0]], ValueError(f"{what} must be finite; got {arr[bad[0]]}")

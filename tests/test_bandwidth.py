@@ -102,6 +102,24 @@ def test_normalized_sum_error_shrinks_with_n():
     assert errs[0] > errs[1] > errs[2]
 
 
+def test_constants_and_exponents_are_real_scalars():
+    for c in (True, "0.7", math.inf, 10**400):
+        with pytest.raises(ValueError, match=f"^bandwidth constant c must be finite and > 0, got {c!r}$"):
+            BandwidthSchedule(kind="power", c=c, a=0.3)
+    for a in (False, "0.3", math.nan):
+        with pytest.raises(ValueError, match=f"^bandwidth exponent a must satisfy 0 <= a < 1, got {a!r}$"):
+            BandwidthSchedule(kind="power", c=0.7, a=a)
+    for b in (True, "0.1", math.nan):
+        with pytest.raises(ValueError, match=f"^scaling exponent b must satisfy 0 < b < 1/2, got {b!r}$"):
+            ScalingSequence(kind="power", b=b)
+    with pytest.raises(ValueError, match="^constant_one scaling takes no exponent; got b=False$"):
+        ScalingSequence(kind="constant_one", b=False)
+    # numpy scalars are real numbers, with the bits of the Python ones
+    sch = BandwidthSchedule(kind="power", c=np.float32(0.5), a=np.int64(0))
+    assert sch.values(3).tolist() == [0.5, 0.5, 0.5]
+    assert ScalingSequence(kind="power", b=np.float64(0.25)).value(16) == 2.0
+
+
 def test_check_compatible():
     sch = BandwidthSchedule(kind="power", c=1.0, a=0.4)
     sch.check_compatible(1, 0)  # a * 1 < 1

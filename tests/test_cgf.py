@@ -233,6 +233,33 @@ def test_non_finite_arguments_and_bad_levels_are_refused(scaling):
         spec.tilt(0.2, 0.0)
 
 
+def test_sample_sizes_are_counts_and_points_real_arrays():
+    spec = _spec(scaling=ScalingSequence(kind="power", b=0.1))
+    calls = (
+        spec.schedule.values,
+        lambda n: spec.schedule.prefix_sums(1.0, n),
+        spec.scaling.value,
+        lambda n: expected_estimate(KERNEL, spec.schedule, DENSITY, n, [0.0]),
+        lambda n: cgf_finite_n(spec, 0.5, n),
+    )
+    for call in calls:
+        for bad in (0, 10.0, True):
+            with pytest.raises(ValueError, match=f"^n must be an integer >= 1; got {bad!r}$"):
+                call(bad)
+    for point, message in (([True], "point must be a list of numbers; got [True]"),
+                           ([math.nan], "point must be finite; got nan")):
+        with pytest.raises(ValueError) as exc:
+            _spec(point=point[0])
+        assert str(exc.value) == message
+    with pytest.raises(ValueError, match=r"^cumulant argument u must be a list of numbers; got \[0.5, True\]"):
+        cgf_limit(spec, [0.5, True])
+    for call in (spec.rate, spec.tilt):
+        with pytest.raises(ValueError, match="^deviation t must be finite; got True$"):
+            call(True, 0.3)
+        with pytest.raises(ValueError, match="^density level must be finite and >= 0; got True$"):
+            call(0.2, True)
+
+
 def test_overflow_guard_trips_before_exp():
     spec = _spec()
     with pytest.raises(OverflowGuardError):

@@ -495,6 +495,7 @@ _UNREAD_FIELDS = [
     ("rate", dict(region="0:1")),
     ("cgf", dict(region="0:1")),
     ("chernoff", dict(region=[[math.nan]])),
+    ("chernoff", dict(region=[[True]])),
     ("chernoff", dict(xi=-1.0)),
 ]
 
@@ -532,6 +533,22 @@ _TYPED_FAULTS = [
     ("simulate", '{"xi": true, "region": "-1:1:0.5"}', "xi must be finite and > 0; got True"),
     ("simulate", '{"replications": true, "scaling_kind": "power", "scaling_b": 0.1}',
      "replications must be an integer >= 1; got True"),
+    # a boolean or a string where a real number belongs, in a scalar, an array or alpha
+    ("estimate", '{"bandwidth_c": true}', "bandwidth constant c must be finite and > 0, got True"),
+    ("estimate", '{"bandwidth_c": "x"}', "bandwidth constant c must be finite and > 0, got 'x'"),
+    ("estimate", '{"bandwidth_a": false}', "bandwidth exponent a must satisfy 0 <= a < 1, got False"),
+    ("estimate", '{"bandwidth_a": "0.2"}', "bandwidth exponent a must satisfy 0 <= a < 1, got '0.2'"),
+    ("cgf", '{"scaling_kind": "power", "scaling_b": "0.1"}',
+     "scaling exponent b must satisfy 0 < b < 1/2, got '0.1'"),
+    ("estimate", '{"point": [true]}', "point must be a list of numbers; got [True]"),
+    ("estimate", '{"point": ["a"]}', "point must be a list of numbers; got ['a']"),
+    ("estimate", '{"density_mean": [true]}', "mean must be a list of numbers; got [True]"),
+    ("estimate", '{"density_mean": ["a"]}', "mean must be a list of numbers; got ['a']"),
+    ("estimate", '{"density": "uniform_box", "density_high": [true]}',
+     "high must be a list of numbers; got [True]"),
+    ("estimate", '{"region": [[true]]}', "region must be a list of numbers; got [[True]]"),
+    ("cgf", '{"u_values": [true, 0.5]}', "u_values must be a list of numbers; got [True, 0.5]"),
+    ("estimate", '{"alpha": 1}', "alpha must be a list of integers; got 1"),
 ]
 
 
@@ -545,6 +562,15 @@ def test_config_of_the_wrong_type_exits_two(tmp_path, capsys, sub, doc, message)
     assert rc == 2
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "o" / f"{sub}.csv").exists()
+
+
+def test_h3_refuses_a_bandwidth_that_does_not_shrink(tmp_path, capsys):
+    # a = 0 is a valid schedule (constant h) but breaks every rate; a < 0 is the schedule's own error
+    rc = cli.main(["rate", "--a", "0", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: (H3): a must be positive so the bandwidth shrinks; got a=0\n"
+    assert not (tmp_path / "o" / "rate.csv").exists()
 
 
 @pytest.mark.parametrize("sub", ["cgf", "chernoff"])

@@ -79,6 +79,29 @@ def test_uniform_box():
     assert_allclose(box.partial((0, 0), pts), box.pdf(pts))
 
 
+def test_uniform_box_derivative_sup():
+    box = UniformBoxDensity(low=[0.0], high=[2.0])
+    assert box.max_abs_derivative(0) == 0.5
+    with pytest.raises(ValueError, match="not differentiable across its boundary"):
+        box.max_abs_derivative(1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GaussianDensity(mean=[True], sigma=[1.0]), "mean must be a list of numbers; got [True]"),
+    (lambda: GaussianDensity(mean=[0.0], sigma=["1"]), "sigma must be a list of numbers; got ['1']"),
+    (lambda: GaussianDensity(mean=[math.nan], sigma=[1.0]), "mean must be finite; got nan"),
+    (lambda: GaussianMixtureDensity(weights=[1.0], means=[[0.0]], sigmas=[[math.inf]]),
+     "sigmas must be finite; got inf"),
+    (lambda: GaussianMixtureDensity(weights=[True], means=[[0.0]], sigmas=[[1.0]]),
+     "weights must be a list of numbers; got [True]"),
+    (lambda: UniformBoxDensity(low=[0.0], high=[False]), "high must be a list of numbers; got [False]"),
+])
+def test_parameters_are_real_arrays_named_in_their_refusal(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_sampling_moments():
     f = GaussianDensity(mean=[0.5], sigma=[2.0])
     rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))

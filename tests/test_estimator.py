@@ -163,8 +163,13 @@ _REFUSED = [
     (1, "abc"),
     (1, math.nan),
     (1, np.float64(-math.inf)),
-    (1, None),  # np.asarray(None, float64) reads as NaN
+    (1, None),
     (2, [0.3, math.nan]),
+    (1, True),
+    (1, False),
+    (1, np.True_),
+    (1, [True]),
+    (2, [0.3, True]),
 ]
 
 
@@ -230,6 +235,28 @@ def test_an_int_beyond_the_float_range_is_refused_as_non_finite(d, x):
     ref = RecursiveEstimator(kernel, SCHED, np.zeros((3, d)))
     ref.update(np.full(d, 0.2))
     assert est.values().tobytes() == ref.values().tobytes()
+
+
+def test_booleans_are_refused_in_batches_of_observations_and_grid_points():
+    kernel = builtin_kernel("gaussian", 1)
+    # update(True) and update(np.True_) are among test_update_routes_store_the_general_routes_float64's refusals
+    est = RecursiveEstimator(kernel, SCHED, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=r"^observations must be a list of numbers; got \[0.2, True\]$"):
+        est.update_batch([0.2, True])
+    assert (est.count, est._pending) == (0, 0)
+    with pytest.raises(ValueError, match="observations must be a list of numbers"):
+        batch_values(kernel, SCHED, [True, 0.2], [0.0])
+    with pytest.raises(ValueError, match="grid points must be a list of numbers"):
+        RecursiveEstimator(kernel, SCHED, [0.0, False])
+
+
+def test_a_non_finite_mean_point_is_a_usage_error_not_a_quadrature_failure():
+    # a NaN point used to reach the level check and fail it as QuadratureError
+    kernel = builtin_kernel("gaussian", 1)
+    density = GaussianDensity(mean=[0.0], sigma=[1.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^points must be finite; got {bad}$"):
+            expected_estimate(kernel, SCHED, density, 10, [0.0, bad])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -15,8 +15,11 @@ from recdev.numerics import (
     as_seed,
     check_exp_bound,
     compensated_cumsum,
+    finite_array,
     gauss_legendre_panels,
+    is_real,
     positive_finite,
+    real_array,
     refine_each,
     sample_sizes,
     tanh_sinh,
@@ -116,6 +119,49 @@ def test_positive_finite_is_one_rule_for_delta_xi_and_m_q():
         assert positive_finite(good)
     for bad in (True, np.bool_(True), "0.2", None, 0, -1.0, math.nan, math.inf, 10**400):
         assert not positive_finite(bad)
+
+
+def test_is_real_is_one_rule_for_a_real_scalar():
+    for good in (0, -1, 0.2, -3.5, np.float32(1.5), np.float64(-1e-300), np.int64(7), 1.7976931348623157e308):
+        assert is_real(good)
+    for bad in (True, False, np.bool_(True), "0.2", None, [1.0], math.nan, -math.inf, np.float32(math.inf),
+                10**400):
+        assert not is_real(bad)
+
+
+@pytest.mark.parametrize("values, message", [
+    (True, "x must be a number; got True"),
+    (np.True_, "x must be a number; got np.True_"),
+    ("0.2", "x must be a number; got '0.2'"),
+    ([0.5, True], "x must be a list of numbers; got [0.5, True]"),
+    ([[1.0], ["a"]], "x must be a list of numbers; got [[1.0], ['a']]"),
+    ([[1.0], 2.0], "x must be a list of numbers; got [[1.0], 2.0]"),
+    (np.array([True, False]), "x must be a list of numbers; got array([ True, False])"),
+    (np.array([1 + 2j]), "x must be a list of numbers; got array([1.+2.j])"),
+    ([0.5, 10**400], "x must be finite; got an int beyond the float range"),
+])
+def test_real_array_refuses_bools_and_non_numbers_at_once(values, message):
+    with pytest.raises(ValueError) as exc:
+        real_array(values, "x")
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        finite_array(values, "x")
+    assert str(exc.value) == message
+
+
+def test_real_array_returns_a_non_finite_element_as_its_error():
+    # the elements before the first non-finite one come back, so a batch can run them first
+    flat, err = real_array(np.array([[0.5, 2.0], [math.nan, math.inf]]), "u")
+    assert flat.tolist() == [0.5, 2.0] and str(err) == "u must be finite; got nan"
+    flat, err = real_array([1, np.float32(2.5), np.int64(-3)], "u")
+    assert flat.dtype == np.float64 and flat.tolist() == [1.0, 2.5, -3.0] and err is None
+    with pytest.raises(ValueError, match=r"^u must be finite; got -inf$"):
+        finite_array([0.0, -math.inf], "u")
+    # finite_array keeps the shape; a float64 array passes through without a copy
+    assert finite_array([[1, 2], [3, 4]], "u").shape == (2, 2)
+    assert finite_array(0.25, "u").shape == ()
+    arr = np.linspace(0.0, 1.0, 6).reshape(3, 2)
+    assert np.shares_memory(finite_array(arr, "u"), arr)
 
 
 def test_check_exp_bound():

@@ -11,6 +11,7 @@ from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_limit
 from recdev.densities import GaussianDensity
 from recdev.kernels import KernelModel, builtin_kernel
+from recdev.numerics import QuadratureError
 from recdev.ratefn import PsiEvaluator, RateValue
 
 GAUSS = builtin_kernel("gaussian", 1)
@@ -222,6 +223,33 @@ def test_batched_failure_raises_the_first_failing_elements_error():
         with pytest.raises(type(alone.value)) as batched:
             call(np.array([1.5, first_bad, second_bad, math.nan]))
         assert str(batched.value) == str(alone.value)
+
+
+def test_psi_gives_up_on_a_jump_inside_its_z_rule():
+    # a box kernel declared with a wider support than it has puts its jump at
+    # |z| = 1 inside psi's z rule, which then never meets its tolerance
+    box = KernelModel(
+        name="box_in_a_wider_support",
+        dimension=1,
+        fn=lambda mi, pts: np.where(np.abs(pts[:, 0]) < 1.0, 0.5, 0.0),
+        support_radius=2.0,
+        positive_support_measure=2.0,
+        negative_support_measure=0.0,
+        max_derivative_order=0,
+    )
+    ev = PsiEvaluator(box, 0.3)
+    errors = {}
+    for u in (0.5, 1.0):
+        with pytest.raises(QuadratureError, match="^psi z rule did not reach tol 1e-10 by level 8 ") as alone:
+            ev.psi(u)
+        errors[u] = str(alone.value)
+    assert errors[0.5] != errors[1.0]
+    # u = 0 is accepted at its first level; a batch raises its first failing element's own error
+    assert ev.psi(0.0) == 0.0
+    for batch, first in (([0.0, 0.5], 0.5), ([1.0, 0.5], 1.0), ([0.5, 1.0], 0.5)):
+        with pytest.raises(QuadratureError) as batched:
+            ev.psi(np.array(batch))
+        assert str(batched.value) == errors[first]
 
 
 def test_values_do_not_depend_on_call_history():
