@@ -59,9 +59,9 @@ SUM_BLOCK_ENTRIES = 4_000_000
 class BandwidthSchedule:
     """h_i = c * i^-a, optionally with a log(i + 1) factor.
 
-    Treat instances as immutable; the only mutable state is the prefix-sum
-    and Chebyshev-moment caches, which are grown under a lock and never
-    shrink, so concurrent reads are safe.
+    Treat instances as immutable; the only mutable state is the prefix-sum,
+    log-range and Chebyshev-moment caches, which are grown under a lock and
+    never shrink, so concurrent reads are safe.
     """
 
     kind: str
@@ -69,6 +69,7 @@ class BandwidthSchedule:
     a: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _moments: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranges: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
@@ -127,9 +128,15 @@ class BandwidthSchedule:
     # -- Chebyshev moments -----------------------------------------------
 
     def _log_range(self, n: int) -> tuple:
-        """(min, max) of log h_i over i <= n; power_log schedules are not monotone."""
-        logs = np.log(self.values(n))
-        return float(logs.min()), float(logs.max())
+        """(min, max) of log h_i over i <= n, cached per n (power_log h_i are not monotone)."""
+        out = self._ranges.get(n)
+        if out is None:
+            with self._lock:
+                out = self._ranges.get(n)
+                if out is None:
+                    logs = np.log(self.values(n))
+                    out = self._ranges[n] = float(logs.min()), float(logs.max())
+        return out
 
     def chebyshev_moments(self, n: int, degree: int) -> np.ndarray:
         """mu_j = sum_{i<=n} T_j(t_i) for j = 0..degree (cached per n).
@@ -141,10 +148,10 @@ class BandwidthSchedule:
         """
         mu = self._moments.get(n)
         if mu is None or len(mu) <= degree:
+            lo, hi = self._log_range(n)
             with self._lock:
                 mu = self._moments.get(n)
                 if mu is None or len(mu) <= degree:
-                    lo, hi = self._log_range(n)
                     t = np.clip((2.0 * np.log(self.values(n)) - (lo + hi)) / (hi - lo), -1.0, 1.0)
                     mu = np.empty(degree + 1)
                     mu[0] = n

@@ -102,8 +102,14 @@ def as_points(points, d: int) -> tuple[np.ndarray, tuple]:
     In d = 1 inputs are scalars, so (m,) is m points and only an explicit
     (m, 1) array is already in point form; in d >= 2 the last axis holds
     the coordinates, so a (d,) array is one point with leading shape ().
-    An int beyond the float range raises ValueError.
+    A bool, or an array holding one, and an int beyond the float range
+    raise ValueError; a float array passes with one dtype test.
     """
+    arr = points if isinstance(points, np.ndarray) else np.array(points, dtype=object)
+    if arr.dtype.kind in "bO" and (
+        arr.dtype.kind == "b" or any(isinstance(v, (bool, np.bool_)) for v in arr.flat)
+    ):
+        raise ValueError(f"points must be numbers, not booleans; got {points!r}")
     try:
         pts = np.asarray(points, dtype=np.float64)
     except OverflowError:

@@ -183,6 +183,11 @@ def tanh_sinh(a: float, b: float, level: int):
     distances from the nearer endpoint, so an endpoint singularity such as
     x^(-g), 0 < g < 1, is evaluated at full precision; the outermost nodes
     lie 1e-101 to 1e-50 from their endpoint, far from underflow.
+
+    The levels nest: level L+1's nodes at even k are level L's, bit for bit
+    (t = k h is exact), and their weights are half of level L's.  Level L's
+    outermost pair drops out where ceil(4.3 2^(L+1)) < 2 ceil(4.3 2^L),
+    which happens at 3 -> 4, 6 -> 7 and 7 -> 8.
     """
     if not (b > a):
         raise ValueError(f"empty interval [{a}, {b}]")

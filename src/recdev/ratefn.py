@@ -23,9 +23,12 @@ one rule, in z: tanh-sinh on (0, r)^d, folded since the kernel is even,
 whose nodes crowd the support edges where very negative u puts the exp
 boundary layer; `numerics.refine_each` raises each u's level until that u
 is `numerics.within` `_PSI_TOL` of its value at the level before.  The
-conjugate inverts psi' by bracketed Newton safeguarded by bisection, for a
-whole t grid in lockstep.  Every value is a function of its own input: an
-element of a batched call equals, bit for bit, a call on that element alone.
+levels nest, so in d = 1 each level evaluates the s-integral only at the
+nodes the level before lacks and takes the others from it; its sum is
+still one dot product over its whole rule.  The conjugate inverts psi' by
+bracketed Newton safeguarded by bisection, for a whole t grid in lockstep.
+Every value is a function of its own input: an element of a batched call
+equals, bit for bit, a call on that element alone.
 """
 
 from __future__ import annotations
@@ -94,6 +97,29 @@ _ROOT_TOL = 1e-10
 # the temporaries stay within the block budget whatever len(u), d or level
 _TERMS = 16
 _SHIFT = {"psi": 0, "prime": 1, "second": 2}  # k in the class docstring
+# u per group of the nested level walk in d = 1: a group's s-integral values
+# at the top level (2,203 nodes) fill one block budget per kind
+_GROUP = BLOCK_ENTRIES // 2203
+
+
+def _nesting(n: int, n_below: int):
+    """(even, odd, below): slices of a tanh-sinh level of n nodes and of the one below, of n_below.
+
+    Node j of a level sits at t = (j - n // 2) h (`numerics.tanh_sinh`);
+    its even-t nodes, `even`, are the level below's nodes `below`, bit for
+    bit, and its odd-t nodes, `odd`, are new.  `below` leaves out the level
+    below's outermost pair where n // 2 is odd.
+    """
+    k = n // 2
+    drop = n_below // 2 - k // 2
+    return slice(k % 2, n, 2), slice(1 - k % 2, n, 2), slice(drop, n_below - drop)
+
+
+def _add_sums(out: np.ndarray, rows, wk, kinds: tuple) -> None:
+    """Add to out[k] the node sums of rows[k], the s-integral values of kinds[k]."""
+    for o, s, kind in zip(out, rows, kinds):
+        # one dot product per u, as alone: a multi-row s @ w rounds otherwise
+        o += [r @ wk[_SHIFT[kind]] for r in s]
 
 
 def _series(y: np.ndarray, coef) -> np.ndarray:
@@ -159,14 +185,20 @@ class PsiEvaluator:
     (0, r)^d with weights times 2^d, as K is even in each coordinate (checked
     here).
 
+    In d = 1 the levels are walked nested (`_nested`): the first pass
+    evaluates level 4's nodes and level 3's outermost pair, which level 4
+    lacks, and each later level only its odd nodes, for the u still open.
+    A rule streamed in chunks (d >= 2) is evaluated afresh at each level.
+
     Every method takes a float or an array and is batch-invariant: each
     element of a call equals, bit for bit, a call on that element alone.
     Each u is accepted at its own first level that agrees with the one
-    before (`numerics.refine_each`), its series stop by its own rule, and its
-    node sum is one dot product, as alone.  `inverse_prime` and `legendre`
-    run the bracket search and the safeguarded Newton iteration for every t
-    in lockstep, with one psi' (or psi', psi'') evaluation per step for the
-    whole batch.  A call that fails raises the error of its first failing
+    before (`numerics.refine_each`), each s-integral is a function of its
+    own (u, z) alone, its series stop by its own rule, and its node sum is
+    one dot product over the level's whole rule, as alone.  `inverse_prime`
+    and `legendre` run the bracket search and the safeguarded Newton
+    iteration for every t in lockstep, with one psi' (or psi', psi'')
+    evaluation per step for the whole batch.  A call that fails raises the error of its first failing
     element: ValueError for a non-finite input (before any quadrature on
     it), OverflowGuardError past the exp guard, QuadratureError past
     `_LEVELS`, RootFindError when a root search gives up.
@@ -229,28 +261,95 @@ class PsiEvaluator:
         self._kept[level] = list(chunks)
         return self._kept[level]
 
+    def _s_values(self, u: np.ndarray, ck: np.ndarray, kinds: tuple):
+        """(u block, [`_s_integral` of kinds[k] at u x ck, (block, len(ck))]) per u block.
+
+        A block holds u_step u, so that its series temporaries stay within
+        the block budget.
+        """
+        u_step = max(1, BLOCK_ENTRIES // _TERMS // len(ck))
+        for i in range(0, len(u), u_step):
+            arg = np.multiply.outer(u[i : i + u_step], ck)
+            yield slice(i, i + u_step), [
+                _s_integral(self._beta + _SHIFT[kind], arg, excess=kind == "psi") for kind in kinds
+            ]
+
     def _at_level(self, u: np.ndarray, level: int, kinds: tuple) -> np.ndarray:
         """Row k holds quantity kinds[k] at every u, from one z rule and one exp argument."""
         out = np.zeros((len(kinds), len(u)))
         for _, ck, wk in self._chunks(level):
-            u_step = max(1, BLOCK_ENTRIES // _TERMS // len(ck))
-            for i in range(0, len(u), u_step):
-                arg = np.multiply.outer(u[i : i + u_step], ck)
-                for row, kind in enumerate(kinds):
-                    k = _SHIFT[kind]
-                    s = _s_integral(self._beta + k, arg, excess=kind == "psi")
-                    # one dot product per u, as alone: a multi-row s @ w rounds otherwise
-                    out[row, i : i + u_step] += [r @ wk[k] for r in s]
+            for i, rows in self._s_values(u, ck, kinds):
+                _add_sums(out[:, i], rows, wk, kinds)
         return out / self.ad
 
+    def _nested(self, u: np.ndarray, kinds: tuple):
+        """`refine_each`'s at_level(idx, level) for u in d = 1, reusing the level below's nodes.
+
+        Equals `_at_level(u[idx], level, kinds)` bit for bit.  The first
+        level evaluates the next level's nodes and its own outermost pair,
+        which the next level lacks, and holds the next level's s-integral
+        values; each later level evaluates only its odd nodes and takes its
+        even ones from the values held for its u (every idx is a subset of
+        the one before, as `refine_each` calls it).
+        """
+        held = []  # [level, idx, s-integral values per kind, (len(idx), nodes)]
+
+        def evaluate(idx, ck):
+            vals = [np.empty((len(idx), len(ck))) for _ in kinds]
+            for i, rows in self._s_values(u[idx], ck, kinds):
+                for v, r in zip(vals, rows):
+                    v[i] = r
+            return vals
+
+        def at_level(idx, level):
+            ((_, ck, wk),) = self._chunks(level)
+            if not held:
+                ((_, ck_up, _),) = self._chunks(level + 1)
+                even, _, below = _nesting(len(ck_up), len(ck))
+                lack = np.r_[: below.start, below.stop : len(ck)]
+                vals = evaluate(idx, np.concatenate((ck_up, ck[lack])))
+                held[:] = level + 1, idx, [v[:, : len(ck_up)] for v in vals]
+                rows = [np.empty((len(idx), len(ck))) for _ in kinds]
+                for r, v in zip(rows, vals):
+                    r[:, below], r[:, lack] = v[:, even], v[:, len(ck_up) :]
+            else:
+                prev_level, prev_idx, prev = held
+                at = np.searchsorted(prev_idx, idx)
+                if prev_level == level:
+                    rows = [p[at] for p in prev]
+                else:
+                    even, odd, below = _nesting(len(ck), prev[0].shape[1])
+                    rows = [np.empty((len(idx), len(ck))) for _ in kinds]
+                    for r, p, v in zip(rows, prev, evaluate(idx, ck[odd])):
+                        r[:, even], r[:, odd] = p[at, below], v
+                    held[:] = level, idx, rows
+            out = np.zeros((len(kinds), len(idx)))
+            _add_sums(out, rows, wk, kinds)
+            return out / self.ad
+
+        return at_level
+
+    def _refine(self, u: np.ndarray, kinds: tuple):
+        """`refine_each` on u: on nested levels in d = 1, afresh at each level in d >= 2."""
+        if self.kernel.dimension == 1:
+            at_level = self._nested(u, kinds)
+        else:
+            def at_level(idx, level):
+                return self._at_level(u[idx], level, kinds)
+        return refine_each(at_level, len(u), _LEVELS, _PSI_TOL, "psi z rule")
+
     def _evaluate(self, u: np.ndarray, kinds: tuple):
-        """(rows of `kinds` at u, {i: QuadratureError}) for nonempty finite u inside the guard."""
-        vals, levels, failed = refine_each(
-            lambda idx, level: self._at_level(u[idx], level, kinds),
-            len(u), _LEVELS, _PSI_TOL, "psi z rule",
-        )
+        """(rows of `kinds` at u, {i: QuadratureError}) for nonempty finite u inside the guard.
+
+        In d = 1, u is refined in groups of `_GROUP`, so that the values
+        `_nested` holds between levels stay within the block budget.
+        """
+        step = _GROUP if self.kernel.dimension == 1 else len(u)
+        runs = [(i, self._refine(u[i : i + step], kinds)) for i in range(0, len(u), step)]
+        vals = np.concatenate([run[0] for _, run in runs], axis=1)
+        levels = np.concatenate([run[1] for _, run in runs])
         self.counts["psi_evaluations_per_level"].update(levels[levels > 0].tolist())
-        return vals, failed
+        return vals, {i + j: exc for i, run in runs for j, exc in run[2].items()}
 
     def _eval(self, u, kinds: tuple):
         """One array (or float) per kind; a failure raises the first failing element's error."""

@@ -83,6 +83,15 @@ def test_prefix_sums_vector_and_cache():
     assert np.all(np.diff(sums) > 0)
 
 
+def test_log_range_is_computed_once_per_n(monkeypatch):
+    sch = BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
+    logs = np.log(sch.values(5000))
+    assert sch._log_range(5000) == (float(logs.min()), float(logs.max()))
+    monkeypatch.setattr(sch, "values", None)  # a second computation would fail
+    assert sch._log_range(5000) == (float(logs.min()), float(logs.max()))
+    assert sch == BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
+
+
 def test_normalized_sum_limit():
     # (1/(n h_n^beta)) sum h_i^beta -> 1/(1 - a beta) when a beta < 1
     for a, beta in ((0.5, 1), (0.2, 1)):

@@ -380,6 +380,33 @@ def test_as_points_rule():
             as_points(bad, 2)
 
 
+@pytest.mark.parametrize(
+    "d,bad",
+    [
+        (1, True),
+        (1, np.True_),
+        (1, [True]),
+        (1, [0.5, True]),
+        (1, np.array([True, False])),
+        (1, np.array([0.5, True], dtype=object)),
+        (2, [[0.0, True]]),
+    ],
+)
+def test_points_refuse_booleans(d, bad):
+    # a bool used to read as 1.0 or 0.0: the gaussian pdf at [True] was 0.242
+    kernel = builtin_kernel("gaussian", d)
+    density = GaussianDensity(mean=[0.0] * d, sigma=[1.0] * d)
+    for call in (
+        kernel.eval,
+        lambda p: kernel.deriv_eval((1,) * d, p),
+        density.pdf,
+        lambda p: density.partial((1,) * d, p),
+    ):
+        with pytest.raises(ValueError, match="points must be numbers, not booleans"):
+            call(bad)
+    assert kernel.eval(np.ones((2, d))).tolist() == kernel.eval([[1] * d, [1.0] * d]).tolist()
+
+
 def _entry_point_outputs(d, points):
     """What each entry point built on as_points makes of the same points."""
     kernel = builtin_kernel("gaussian", d)

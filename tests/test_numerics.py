@@ -56,6 +56,23 @@ def test_tanh_sinh_plain_interval():
     assert x.min() >= -2.0 and x.max() <= 5.0
 
 
+def test_tanh_sinh_levels_nest():
+    # level L + 1's even-t nodes are level L's, bit for bit; level L's
+    # outermost pair drops out where ceil(4.3 2^(L+1)) < 2 ceil(4.3 2^L)
+    dropped = []
+    for level in range(3, 9):
+        x, w = tanh_sinh(0.0, 8.5, level)
+        x_up, w_up = tanh_sinh(0.0, 8.5, level + 1)
+        k, k_up = len(x) // 2, len(x_up) // 2
+        drop = k - k_up // 2
+        keep = slice(drop, len(x) - drop)
+        assert x_up[k_up % 2 :: 2].tobytes() == x[keep].tobytes()
+        assert (2.0 * w_up[k_up % 2 :: 2]).tobytes() == w[keep].tobytes()
+        if drop:
+            dropped.append(level)
+    assert dropped == [3, 6, 7]
+
+
 def test_refine_each_returns_finer_level_or_names_the_quantity():
     def at_level(idx, level):
         return np.array([1.0, 2.0**-level])[idx]

@@ -11,7 +11,8 @@ from recdev.bandwidth import BandwidthSchedule, ScalingSequence
 from recdev.cgf import CgfSpec, cgf_limit
 from recdev.densities import GaussianDensity
 from recdev.kernels import KernelModel, builtin_kernel
-from recdev.numerics import QuadratureError
+from recdev import ratefn
+from recdev.numerics import BLOCK_ENTRIES, QuadratureError, tanh_sinh
 from recdev.ratefn import PsiEvaluator, RateValue
 
 GAUSS = builtin_kernel("gaussian", 1)
@@ -154,22 +155,29 @@ def _bit_equal_case(name):
         "epanechnikov_2d": (
             PsiEvaluator(builtin_kernel("epanechnikov", 2), 0.2), (-20.0, 4.0), (-0.5, 3.0)
         ),
+        # batches of more than one group of the nested level walk
+        "gaussian_groups": (PsiEvaluator(GAUSS, 0.3), (-30.0, 6.0), (-0.5, 3.0)),
     }[name]
 
 
-@pytest.mark.parametrize("name", ["epanechnikov", "epanechnikov_2d", "gaussian", "signed"])
+@pytest.mark.parametrize(
+    "name", ["epanechnikov", "epanechnikov_2d", "gaussian", "signed", "gaussian_groups"]
+)
 @given(data=st.data())
 @settings(max_examples=4, deadline=None)
 def test_batched_calls_equal_calls_on_each_element(name, data):
     ev, (u_lo, u_hi), (t_lo, t_hi) = _bit_equal_case(name)
     small = 3 if name.endswith("2d") else 5
-    us = data.draw(st.lists(st.floats(u_lo, u_hi), min_size=1, max_size=small))
+    least = 1
+    if name.endswith("groups"):
+        least, small = ratefn._GROUP + 1, 2 * ratefn._GROUP + 3
+    us = data.draw(st.lists(st.floats(u_lo, u_hi), min_size=least, max_size=small))
     for f in (ev.psi, ev.psi_prime, ev.psi_second):
         assert f(np.array(us)).tolist() == [f(u) for u in us]
     # points of t grids of step 0.05 that cross t <= 0, where an unsigned
     # kernel's rate branches (a t > 0 far below 0.05 has no reachable root)
     steps = st.integers(round(20 * t_lo), round(20 * t_hi))
-    ts = [k / 20 for k in data.draw(st.lists(steps, min_size=1, max_size=small))]
+    ts = [k / 20 for k in data.draw(st.lists(steps, min_size=least, max_size=small))]
     rates = ev.legendre(np.array(ts))
     assert [(r.value, r.finite) for r in rates] == [
         (r.value, r.finite) for r in (ev.legendre(t) for t in ts)
@@ -521,6 +529,63 @@ def test_psi_memory_stays_within_the_block_budget():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_newton_memory_stays_within_the_block_budget():
+    # Newton holds psi' and psi'' between the nested levels of each group of u
+    import tracemalloc
+
+    ev = PsiEvaluator(GAUSS, 0.25)
+    ts = np.linspace(0.05, 3.0, 4001)
+    tracemalloc.start()
+    try:
+        ev.inverse_prime(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_a_group_of_the_nested_walk_fits_the_block_budget_at_the_top_level():
+    top = len(tanh_sinh(0.0, 1.0, ratefn._LEVELS[-1])[0])
+    assert ratefn._GROUP * top <= BLOCK_ENTRIES < (ratefn._GROUP + 1) * top
+
+
+@pytest.mark.parametrize("kernel,a", [(GAUSS, 0.3), (EPAN, 0.25)])
+def test_each_nested_level_equals_the_level_evaluated_afresh(kernel, a):
+    ev = PsiEvaluator(kernel, a)
+    kinds = ("psi", "prime", "second")
+    us = np.array([-300.0, -30.0, -2.5, -0.1, 0.0, 0.7, 3.0, 12.0])
+    at_level = ev._nested(us, kinds)
+    idx = np.arange(len(us))
+    for level in ratefn._LEVELS:
+        assert at_level(idx, level).tobytes() == ev._at_level(us[idx], level, kinds).tobytes()
+        if level == ratefn._LEVELS[1]:  # the u still open are a subset of those before
+            idx = idx[[0, 2, 3, 6]]
+
+
+@pytest.mark.parametrize(
+    "kernel,level,elements", [(GAUSS, 5, 279), (EPAN, 4, 141)]
+)
+def test_nested_levels_evaluate_each_node_once(monkeypatch, kernel, level, elements):
+    # level 4's 139 nodes and level 3's outermost pair, then level 5's 138
+    # odd nodes; evaluated afresh, levels 3 to 5 cost 71 + 139 + 277
+    seen = []
+    s_integral = ratefn._s_integral
+
+    def counted(b, A, excess=False):
+        seen.append(A.size)
+        return s_integral(b, A, excess)
+
+    monkeypatch.setattr(ratefn, "_s_integral", counted)
+    ev = PsiEvaluator(kernel, 0.25)
+    for f in (ev.psi, ev.psi_prime, ev.psi_second):
+        for u in (-1.0, 1.0, 3.0):
+            seen.clear()
+            before = ev.counts["psi_evaluations_per_level"][level]
+            f(u)
+            assert ev.counts["psi_evaluations_per_level"][level] == before + 1
+            assert sum(seen) == elements
 
 
 def _signed_kernel():
