@@ -3,15 +3,17 @@
     python3 scripts/bench_pairs.py REV --workload rate_ldp [--pairs 10] [--seconds 20]
 
 REV (a commit, branch or tag) is exported with ``git archive`` into a
-temporary directory.  Each pair runs ``perfbench/run.py --trace 0`` once in
-that export and once in the working tree, with the pair's own seed (1, 2,
-...); odd pairs run REV first and even pairs the working tree first.  For
-each end-to-end metric of BENCHMARK.json the script prints each side's
-median and quartiles, the pairs the working tree won and lost (ties count
-for neither), and whether the runs show a gain: the working tree wins at
-least nine tenths of the pairs and the medians differ by more than REV's
-interquartile spread.  It exits 1 if a run fails or reports an incorrect
-output.
+temporary directory, and the working tree is copied into a second one: its
+tracked files as they stand on disk, plus the untracked files git does not
+ignore.  So both sides run from a fresh directory, with no caches or build
+outputs of earlier runs.  Each pair runs ``perfbench/run.py --trace 0`` once
+in each copy, with the pair's own seed (1, 2, ...); odd pairs run REV first
+and even pairs the working tree first.  For each end-to-end metric of
+BENCHMARK.json the script prints each side's median and quartiles, the
+pairs the working tree won and lost (ties count for neither), and whether
+the runs show a gain: the working tree wins at least nine tenths of the
+pairs and the medians differ by more than REV's interquartile spread.  It
+exits 1 if a run fails or reports an incorrect output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -34,6 +37,17 @@ def export(rev: str, into: Path) -> None:
     tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(into, filter="data")
+
+
+def copy_tree(into: Path) -> None:
+    """The working tree's tracked and untracked, not ignored files in `into`."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, check=True).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        source = ROOT / name
+        if source.is_file():  # a tracked file deleted on disk is left out, as it is in the tree
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -87,9 +101,11 @@ def main(argv=None) -> int:
 
     base, tree = [], []
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        export(args.rev, Path(tmp))
+        rev_dir, tree_dir = Path(tmp) / "rev", Path(tmp) / "tree"
+        export(args.rev, rev_dir)
+        copy_tree(tree_dir)
         for pair in range(1, args.pairs + 1):
-            sides = [(Path(tmp), base), (ROOT, tree)]
+            sides = [(rev_dir, base), (tree_dir, tree)]
             for checkout, out in sides if pair % 2 else sides[::-1]:
                 try:
                     out.append(run(checkout, args.workload, pair, args.seconds))

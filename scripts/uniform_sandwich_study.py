@@ -2,10 +2,10 @@
 
 For each half-width w, the tail P[sup_{|x| <= w} v_n |f_n(x) - f(x)| >= delta]
 is estimated on a grid and compared against the bounded sandwich
-[-g(delta), -g(delta)] widened on either side by SANDWICH_SLACK_FRACTION of
-g, where g is the uniform rate built from the sup of the density over the
-region.  Wider regions raise the sup statistic and (through sup_U f) lower
-the rate, so both columns move.
+[-g(delta), -g(delta)] widened on either side by the report's policy value
+`sandwich_slack_fraction` times g, where g is the uniform rate built from
+the sup of the density over the region.  Wider regions raise the sup
+statistic and (through sup_U f) lower the rate, so both columns move.
 
 Example:
     python3 scripts/uniform_sandwich_study.py --widths 0.5,1.0,2.0
@@ -24,7 +24,6 @@ from recdev import (
     builtin_kernel,
     run_uniform,
 )
-from recdev.deviations import SANDWICH_SLACK_FRACTION
 
 
 def main(argv=None) -> int:
@@ -61,7 +60,7 @@ def main(argv=None) -> int:
         )
         report = run_uniform(exp)
         lower, upper = report.sandwich
-        slack = SANDWICH_SLACK_FRACTION * report.rate.value
+        slack = dict(report.policy)["sandwich_slack_fraction"] * report.rate.value
         for row in report.rows:
             print(
                 f"{w:6.2f} {len(grid):5d} {row.n:6d} {row.p_hat:10.3g} "

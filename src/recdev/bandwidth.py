@@ -60,16 +60,14 @@ class BandwidthSchedule:
     """h_i = c * i^-a, optionally with a log(i + 1) factor.
 
     Treat instances as immutable; the only mutable state is the prefix-sum,
-    log-range and Chebyshev-moment caches, which are grown under a lock and
-    never shrink, so concurrent reads are safe.
+    log-range and Chebyshev-moment cache, which `_cached` fills under a lock
+    and never shrinks, so concurrent reads are safe.
     """
 
     kind: str
     c: float
     a: float
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _moments: dict = field(default_factory=dict, repr=False, compare=False)
-    _ranges: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,37 +104,41 @@ class BandwidthSchedule:
                 f"schedule a={self.a} is incompatible with d={d}, |alpha|={alpha_order}"
             )
 
-    # -- prefix sums -----------------------------------------------------
+    def _cached(self, key: tuple, ok, build):
+        """The cached value at `key` if `ok` accepts it, else build(the old value or None).
+
+        The check is repeated under the lock, and `build` runs holding it,
+        so a build must not call another cached method.
+        """
+        value = self._cache.get(key)
+        if value is None or not ok(value):
+            with self._lock:
+                value = self._cache.get(key)
+                if value is None or not ok(value):
+                    value = self._cache[key] = build(value)
+        return value
 
     def prefix_sums(self, beta: float, n: int) -> np.ndarray:
-        """Array of sum_{i<=m} h_i^beta for m = 1..n (cached per beta)."""
+        """Array of sum_{i<=m} h_i^beta for m = 1..n (cached per beta, grown at least 2x)."""
         n = as_count(n, "n")
-        key = float(beta)
-        arr = self._cache.get(key)
-        if arr is None or len(arr) < n:
-            with self._lock:
-                arr = self._cache.get(key)
-                if arr is None or len(arr) < n:
-                    grow = max(n, 2 * len(arr) if arr is not None else n)
-                    arr = compensated_cumsum(self.values(grow) ** key)
-                    self._cache[key] = arr
-        return arr[:n]
+        beta = float(beta)
+
+        def build(old):
+            return compensated_cumsum(self.values(max(n, 2 * len(old) if old is not None else n)) ** beta)
+
+        return self._cached(("prefix", beta), lambda arr: len(arr) >= n, build)[:n]
 
     def prefix_sum(self, beta: float, n: int) -> float:
         return float(self.prefix_sums(beta, n)[-1])
 
-    # -- Chebyshev moments -----------------------------------------------
-
     def _log_range(self, n: int) -> tuple:
         """(min, max) of log h_i over i <= n, cached per n (power_log h_i are not monotone)."""
-        out = self._ranges.get(n)
-        if out is None:
-            with self._lock:
-                out = self._ranges.get(n)
-                if out is None:
-                    logs = np.log(self.values(n))
-                    out = self._ranges[n] = float(logs.min()), float(logs.max())
-        return out
+
+        def build(_):
+            logs = np.log(self.values(n))
+            return float(logs.min()), float(logs.max())
+
+        return self._cached(("range", n), lambda _: True, build)
 
     def chebyshev_moments(self, n: int, degree: int) -> np.ndarray:
         """mu_j = sum_{i<=n} T_j(t_i) for j = 0..degree (cached per n).
@@ -146,21 +148,19 @@ class BandwidthSchedule:
         recomputes from j = 0, so every mu_j is the same whatever was asked
         before.
         """
-        mu = self._moments.get(n)
-        if mu is None or len(mu) <= degree:
-            lo, hi = self._log_range(n)
-            with self._lock:
-                mu = self._moments.get(n)
-                if mu is None or len(mu) <= degree:
-                    t = np.clip((2.0 * np.log(self.values(n)) - (lo + hi)) / (hi - lo), -1.0, 1.0)
-                    mu = np.empty(degree + 1)
-                    mu[0] = n
-                    prev, cur = np.ones(n), t
-                    for j in range(1, degree + 1):
-                        mu[j] = cur.sum()
-                        prev, cur = cur, 2.0 * t * cur - prev
-                    self._moments[n] = mu
-        return mu[: degree + 1]
+        lo, hi = self._log_range(n)  # outside the build, which holds the lock
+
+        def build(_):
+            t = np.clip((2.0 * np.log(self.values(n)) - (lo + hi)) / (hi - lo), -1.0, 1.0)
+            mu = np.empty(degree + 1)
+            mu[0] = n
+            prev, cur = np.ones(n), t
+            for j in range(1, degree + 1):
+                mu[j] = cur.sum()
+                prev, cur = cur, 2.0 * t * cur - prev
+            return mu
+
+        return self._cached(("moments", n), lambda mu: len(mu) > degree, build)[: degree + 1]
 
 
 def _chebyshev_terms(vals: np.ndarray, mu: np.ndarray) -> np.ndarray:

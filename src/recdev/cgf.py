@@ -28,7 +28,9 @@ the two apart; `CgfSpec.regime` and the CLI's checks apply it.  The spec
 holds each regime's limit: the speed b_n, the limit's conjugate (the rate)
 and its maximizer (the tilt) at a density level f: f(x) for pointwise
 statements, sup_U f for the sup over a region U.  `convergence_diagnostic`
-tabulates the finite-n curves against the limit over a grid of u.
+tabulates the finite-n curves against the limit over a grid of u, with its
+verdict; `Verdict` is the one pass/fail record every report here and in
+`deviations` carries.
 """
 
 from __future__ import annotations
@@ -213,6 +215,15 @@ def cgf_limit(spec: CgfSpec, u):
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """One named pass/fail check of a report, with the numbers it compared."""
+
+    name: str
+    passed: bool
+    detail: str
+
+
+@dataclass(frozen=True)
 class CgfConvergence:
     """Finite-n cumulant curves tabulated against their limit."""
 
@@ -225,6 +236,12 @@ class CgfConvergence:
     @property
     def gaps_decrease(self) -> bool:
         return bool(np.all(np.diff(self.sup_gap) < 0))
+
+    @property
+    def verdicts(self) -> tuple:
+        """abs_error_decreasing: sup_u |L_n - L| shrinks along n."""
+        detail = "sup_u gaps " + " -> ".join(f"{g:.6g}" for g in self.sup_gap)
+        return (Verdict("abs_error_decreasing", self.gaps_decrease, detail),)
 
 
 def convergence_diagnostic(spec: CgfSpec, u_values, n_values) -> CgfConvergence:

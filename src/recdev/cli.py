@@ -15,9 +15,11 @@ Every subcommand builds the model fields (kernel, bandwidth, scaling,
 density, point, alpha); of the run fields, only those a subcommand reads
 can refuse or switch it.
 CSV output uses '.' decimals and literal "inf"/"-inf" for infinite rates so
-files diff cleanly across platforms.  The JSON summary carries {config,
-per_n, verdicts} plus the tolerance policy in force; output paths are kept
-out of it so reruns into different directories stay byte-identical.
+files diff cleanly across platforms; the columns of a report's CSV are the
+set fields of its row records.  The JSON summary carries {config, per_n,
+verdicts} plus the tolerance policy those verdicts read, both as the
+report holds them; output paths are kept out of it so reruns into
+different directories stay byte-identical.
 
 Exit status: 0 when every verdict passes, 1 when one fails, 2 for an
 invalid config or a request the library rejects as a usage error (a
@@ -46,19 +48,8 @@ import numpy as np
 from .bandwidth import BandwidthSchedule, ScalingSequence
 from .cgf import CgfSpec, convergence_diagnostic, regime_of
 from .densities import build_density
-from .deviations import (
-    FINAL_GAP_FRACTION,
-    MONTE_CARLO_SIGMAS,
-    RATIO_CHANGE_TOLERANCE,
-    SANDWICH_SLACK_FRACTION,
-    DeviationExperiment,
-    UnderpoweredExperimentError,
-    chernoff_upper_curve,
-    region_grid,
-    run_bias_study,
-    run_pointwise,
-    run_uniform,
-)
+from .deviations import DeviationExperiment, UnderpoweredExperimentError, chernoff_upper_curve, region_grid
+from .deviations import run_bias_study, run_pointwise, run_uniform
 from .estimator import batch_values
 from .kernels import builtin_kernel, tensor_grid
 from .numerics import OverflowGuardError, QuadratureError, RootFindError
@@ -312,9 +303,10 @@ def _fmt(value) -> str:
     return out if isinstance(out, str) else repr(out)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+def _write_csv(path: str, records: list) -> None:
+    """One line per record; the header is the first record's keys, in their order."""
+    lines = [",".join(records[0])]
+    lines.extend(",".join(_fmt(v) for v in r.values()) for r in records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -340,21 +332,24 @@ def _write_json(path: str, summary: dict) -> None:
         fh.write(json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n")
 
 
-def _deviation_rows(report) -> list:
-    # simulate rows carry no Chernoff bound, so that key is left out there
-    return [
-        {k: v for k, v in dataclasses.asdict(r).items() if v is not None}
-        for r in report.rows
-    ]
+def _set_fields(row) -> dict:
+    """A row record's fields in order, leaving out those that are None (an unset column)."""
+    return {k: v for k, v in dataclasses.asdict(row).items() if v is not None}
 
 
 def _verdict_dicts(report) -> list:
-    return [{"name": v.name, "passed": bool(v.passed), "detail": v.detail} for v in report.verdicts]
+    return [dataclasses.asdict(v) for v in report.verdicts]
+
+
+def _summary(report, **fields) -> dict:
+    """`fields` plus the report's verdicts and the policy they read."""
+    return {**fields, "verdicts": _verdict_dicts(report), "policy": dict(report.policy)}
 
 
 # ---------------------------------------------------------------------------
 # Subcommand bodies.  Each runs on the CgfSpec or DeviationExperiment and
-# the parsed grid that `_check` built and returns (csv_header, csv_rows, summary).
+# the parsed grid that `_check` built and returns (csv_records, summary): the
+# CSV rows as dicts in column order, the row dataclasses' fields where there are any.
 
 
 def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec, grid: Optional[np.ndarray]):
@@ -365,9 +360,9 @@ def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec, grid: Optional[np.ndarra
     sample = spec.density.sample(gen, n)
     estimates = batch_values(spec.kernel, spec.schedule, sample, grid, alpha=spec.alpha.components)
     targets = spec.density.partial(spec.alpha.components, grid)
-    header = [f"x{j}" for j in range(cfg.dimension)] + ["estimate", "target", "abs_error"]
-    rows = [
-        list(grid[i]) + [estimates[i], targets[i], abs(estimates[i] - targets[i])]
+    records = [
+        {**{f"x{j}": x for j, x in enumerate(grid[i])},
+         "estimate": estimates[i], "target": targets[i], "abs_error": abs(estimates[i] - targets[i])}
         for i in range(len(grid))
     ]
     summary = {
@@ -375,105 +370,64 @@ def _cmd_estimate(cfg: ExperimentConfig, spec: CgfSpec, grid: Optional[np.ndarra
         "grid_size": len(grid),
         "sup_abs_error": float(np.max(np.abs(estimates - targets))),
     }
-    return header, rows, summary
+    return records, summary
 
 
 def _cmd_rate(cfg: ExperimentConfig, spec: CgfSpec, ts: np.ndarray):
     psi = spec.psi()
     values = psi.legendre(ts)
-    header = ["t", "rate"]
-    rows = [[float(t), rv.value] for t, rv in zip(ts, values)]
     summary = {
         "t_grid": cfg.t_grid,
-        "rows": len(rows),
+        "rows": len(values),
         "finite_entries": sum(1 for rv in values if rv.finite),
         "counters": psi.counts,
     }
-    return header, rows, summary
+    return [{"t": float(t), "rate": rv.value} for t, rv in zip(ts, values)], summary
 
 
 def _cmd_cgf(cfg: ExperimentConfig, spec: CgfSpec):
     conv = convergence_diagnostic(spec, cfg.u_values, cfg.n_list)
-    header = ["n", "u", "finite_n", "limit", "abs_error"]
-    rows = []
-    for r, n in enumerate(conv.n_values):
-        for c, u in enumerate(conv.u):
-            rows.append(
-                [int(n), float(u), conv.finite_n[r, c], conv.limit[c],
-                 abs(conv.finite_n[r, c] - conv.limit[c])]
-            )
-    verdicts = [
-        {
-            "name": "abs_error_decreasing",
-            "passed": bool(conv.gaps_decrease),
-            "detail": "sup_u gaps " + " -> ".join(f"{g:.6g}" for g in conv.sup_gap),
-        }
+    records = [
+        {"n": int(n), "u": float(u), "finite_n": conv.finite_n[r, c], "limit": conv.limit[c],
+         "abs_error": abs(conv.finite_n[r, c] - conv.limit[c])}
+        for r, n in enumerate(conv.n_values)
+        for c, u in enumerate(conv.u)
     ]
     summary = {
         "regime": spec.regime,
         "per_n": [
             {"n": int(n), "sup_gap": float(g)} for n, g in zip(conv.n_values, conv.sup_gap)
         ],
-        "verdicts": verdicts,
+        "verdicts": _verdict_dicts(conv),
     }
-    return header, rows, summary
+    return records, summary
+
+
+def _tail_output(report) -> tuple:
+    """A simulate or chernoff report's row records, which are also its per_n, and its summary."""
+    records = [_set_fields(r) for r in report.rows]
+    return records, _summary(report, delta=report.delta, replications=report.replications,
+                             per_n=records, notes=list(report.notes))
 
 
 def _cmd_simulate(cfg: ExperimentConfig, exp: DeviationExperiment):
     report = run_pointwise(exp) if exp.region is None else run_uniform(exp)
-    header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "rate"]
-    rows = [
-        [r.n, r.speed, r.count, r.p_hat, r.censored, r.normalized_log, report.rate.value]
-        for r in report.rows
-    ]
-    summary = {
-        "kind": report.kind,
-        "delta": report.delta,
-        "replications": report.replications,
-        "rate": report.rate.value,
-        "sandwich": list(report.sandwich) if report.sandwich is not None else None,
-        "per_n": _deviation_rows(report),
-        "verdicts": _verdict_dicts(report),
-        "policy": {
-            "final_gap_fraction": FINAL_GAP_FRACTION,
-            "sandwich_slack_fraction": SANDWICH_SLACK_FRACTION,
-        },
-        "notes": list(report.notes),
-    }
-    return header, rows, summary
+    records, summary = _tail_output(report)
+    summary.update(kind=report.kind, rate=report.rate.value,
+                   sandwich=list(report.sandwich) if report.sandwich is not None else None)
+    return [{**r, "rate": report.rate.value} for r in records], summary
 
 
 def _cmd_bias(cfg: ExperimentConfig, spec: CgfSpec, region: Optional[np.ndarray]):
     report = run_bias_study(spec, cfg.n_list, region, q=cfg.q, m_q=cfg.m_q)
-    # the columns are the BiasRow fields in order; sup_normalized needs a region
-    header = ["n", "normalizer", "bias", "ratio"]
-    if region is not None:
-        header.append("sup_normalized")
-    rows = [list(dataclasses.astuple(r))[: len(header)] for r in report.bias_rows]
-    summary = {
-        "q": cfg.q,
-        "bound": report.bias_bound,
-        "per_n": [dataclasses.asdict(r) for r in report.bias_rows],
-        "verdicts": _verdict_dicts(report),
-        "policy": {"ratio_change_tolerance": RATIO_CHANGE_TOLERANCE},
-    }
-    return header, rows, summary
+    # sup_normalized needs a region: without one it is a CSV column left out and a JSON null
+    summary = _summary(report, q=cfg.q, bound=report.bias_bound,
+                       per_n=[dataclasses.asdict(r) for r in report.bias_rows])
+    return [_set_fields(r) for r in report.bias_rows], summary
 
 
 def _cmd_chernoff(cfg: ExperimentConfig, exp: DeviationExperiment):
-    report = chernoff_upper_curve(exp)
-    # the columns are the DeviationRow fields in order
-    header = ["n", "speed", "count", "p_hat", "censored", "normalized_log", "chernoff_bound"]
-    rows = [list(dataclasses.astuple(r)) for r in report.rows]
-    summary = {
-        "delta": report.delta,
-        "replications": report.replications,
-        "per_n": _deviation_rows(report),
-        "verdicts": _verdict_dicts(report),
-        "policy": {"monte_carlo_sigmas": MONTE_CARLO_SIGMAS},
-        "notes": list(report.notes),
-    }
-    return header, rows, summary
+    return _tail_output(chernoff_upper_curve(exp))
 
 
 _COMMANDS = {
@@ -493,14 +447,14 @@ def run(cfg: ExperimentConfig, subcommand: str, overrides: Optional[dict] = None
         for v in violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    header, rows, summary = _COMMANDS[subcommand](cfg, *args)
+    records, summary = _COMMANDS[subcommand](cfg, *args)
     summary["subcommand"] = subcommand
     summary["config"] = config_echo(cfg)
     summary["overrides"] = dict(overrides or {})
     os.makedirs(cfg.out, exist_ok=True)
     csv_path = os.path.join(cfg.out, f"{subcommand}.csv")
     json_path = os.path.join(cfg.out, f"{subcommand}.json")
-    _write_csv(csv_path, header, rows)
+    _write_csv(csv_path, records)
     _write_json(json_path, summary)
     verdicts = summary.get("verdicts", [])
     for v in verdicts:

@@ -34,7 +34,9 @@ f(x) for a point or sup_U f for a region, plus the moment-exponent sandwich
 cells are censored at 1/R and flagged, never silently logged as -inf.
 Each run reads only its inputs, so none takes a mode: `CgfSpec.regime`
 decides which rate a pointwise run is measured against, and a uniform run's
-sandwich is unbounded exactly when the experiment carries xi.  Also here:
+sandwich is unbounded exactly when the experiment carries xi.  Both kinds
+run through one body, `_tail_run`, and every report carries its verdicts
+and, as `policy`, the tolerances they read.  Also here:
 the deterministic bias study, which takes the spec, the sample sizes and an
 optional region and draws nothing, and the finite-n Chernoff upper curve
 evaluated at the optimal tilt on the rows of a pointwise run.
@@ -51,13 +53,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cgf import CgfSpec, cgf_finite_n
+from .cgf import CgfSpec, Verdict, cgf_finite_n
 from .estimator import bias_normalizer, bias_sup_bound, expected_estimate, kernel_terms
 from .kernels import as_points
 from .numerics import BLOCK_ENTRIES, as_count, as_seed, finite_array, positive_finite, sample_sizes
 from .ratefn import RateValue
 
-# Verdict tolerances; the CLI echoes them into each summary as its policy.
+# Verdict tolerances; each report carries the ones its verdicts read as its policy.
 # The final |normalized log + rate| may be at most this fraction of the rate.
 FINAL_GAP_FRACTION = 0.3
 # Slack on either side of the uniform sandwich, as a fraction of the rate.
@@ -127,13 +129,6 @@ class BiasRow:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
 class DeviationReport:
     """Immutable result of one experiment run."""
 
@@ -147,6 +142,7 @@ class DeviationReport:
     bias_bound: Optional[float] = None
     verdicts: tuple = ()
     notes: tuple = ()
+    policy: tuple = ()  # (name, value) pairs of the tolerances the verdicts read
 
     @property
     def all_passed(self) -> bool:
@@ -237,35 +233,56 @@ def _simulate_counts(exp: DeviationExperiment, grid: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _rows_from_counts(exp: DeviationExperiment, counts: np.ndarray) -> tuple:
+# the tolerances a simulated tail run's verdicts read, as its report carries them
+_TAIL_POLICY = (("final_gap_fraction", FINAL_GAP_FRACTION), ("sandwich_slack_fraction", SANDWICH_SLACK_FRACTION))
+
+
+def _tail_run(exp: DeviationExperiment, kind: str, grid: np.ndarray, level: float, factor=None) -> DeviationReport:
+    """The report of a simulated run on `grid` against g(delta) at density level `level`.
+
+    g(delta) is the smaller of the up- and down-crossing rates.  Without a
+    factor the verdicts are `_tail_verdicts`; with one the report carries
+    the sandwich [-g(delta), -factor g(delta)], and the final normalized log
+    must lie in it, widened on either side by SANDWICH_SLACK_FRACTION of the rate.
+    """
     spec = exp.spec
-    rows = []
-    for n, cnt in zip(exp.n_list, counts):
-        b_n = spec.speed(n)
-        censored = cnt == 0
-        p_hat = max(int(cnt), 1) / exp.replications
-        rows.append(
-            DeviationRow(
-                n=int(n),
-                speed=b_n,
-                count=int(cnt),
-                p_hat=p_hat,
-                censored=bool(censored),
-                normalized_log=math.log(p_hat) / b_n,
-            )
-        )
-    if all(r.count == 0 for r in rows):
+    rate = min((spec.rate(exp.delta, level), spec.rate(-exp.delta, level)), key=lambda r: r.value)
+    counts = _simulate_counts(exp, grid)
+    if not counts.any():
         raise UnderpoweredExperimentError(
             f"no exceedances of delta={exp.delta} in {exp.replications} replications "
             "at any n; increase replications or lower delta"
         )
-    return tuple(rows)
-
-
-def _two_sided_rate(exp: DeviationExperiment, level: float) -> RateValue:
-    """min of the up- and down-crossing rates at the experiment's delta."""
-    rates = (exp.spec.rate(exp.delta, level), exp.spec.rate(-exp.delta, level))
-    return min(rates, key=lambda r: r.value)
+    rows = []
+    for n, cnt in zip(exp.n_list, counts):
+        b_n = spec.speed(n)
+        p_hat = max(int(cnt), 1) / exp.replications
+        rows.append(DeviationRow(n=int(n), speed=b_n, count=int(cnt), p_hat=p_hat,
+                                 censored=bool(cnt == 0), normalized_log=math.log(p_hat) / b_n))
+    sandwich, verdicts = None, ()
+    if factor is None:
+        verdicts = _tail_verdicts(rows, rate)
+    else:
+        lower = -rate.value
+        upper = -factor * rate.value if rate.finite else -math.inf
+        sandwich = (lower, upper)
+        if rate.finite:
+            slack = SANDWICH_SLACK_FRACTION * rate.value
+            final = rows[-1].normalized_log
+            verdicts = (
+                Verdict(
+                    "sandwich_upper",
+                    final <= upper + slack,
+                    f"final normalized log {final:.6g} vs upper {upper:.6g} + slack {slack:.6g}",
+                ),
+                Verdict(
+                    "sandwich_lower",
+                    final >= lower - slack,
+                    f"final normalized log {final:.6g} vs lower {lower:.6g} - slack {slack:.6g}",
+                ),
+            )
+    return DeviationReport(kind=kind, delta=exp.delta, replications=exp.replications, rate=rate,
+                           sandwich=sandwich, rows=tuple(rows), verdicts=verdicts, policy=_TAIL_POLICY)
 
 
 def run_pointwise(exp: DeviationExperiment) -> DeviationReport:
@@ -276,17 +293,8 @@ def run_pointwise(exp: DeviationExperiment) -> DeviationReport:
     derivative case.
     """
     spec = exp.spec
-    rate = _two_sided_rate(exp, spec.density_at_point)
-    rows = _rows_from_counts(exp, _simulate_counts(exp, spec.point.reshape(1, -1)))
-    return DeviationReport(
-        kind="pointwise_ldp" if spec.regime == "ldp" else "pointwise_mdp",
-        delta=exp.delta,
-        replications=exp.replications,
-        rate=rate,
-        sandwich=None,
-        rows=rows,
-        verdicts=_tail_verdicts(rows, rate),
-    )
+    kind = "pointwise_ldp" if spec.regime == "ldp" else "pointwise_mdp"
+    return _tail_run(exp, kind, spec.point.reshape(1, -1), spec.density_at_point)
 
 
 def run_uniform(exp: DeviationExperiment) -> DeviationReport:
@@ -296,46 +304,17 @@ def run_uniform(exp: DeviationExperiment) -> DeviationReport:
     moment exponent the region is taken as bounded and the reference is
     -g(delta) itself; with `exp.xi` the upper member is -(xi/(xi+d)) g(delta).
     """
-    spec = exp.spec
     if exp.region is None:
         raise ValueError("uniform mode needs a region grid")
-    sup_density = float(np.max(spec.density.pdf(exp.region)))
+    sup_density = float(np.max(exp.spec.density.pdf(exp.region)))
     if sup_density <= 0:
         raise ValueError("sup_density must be positive")
-    rate = _two_sided_rate(exp, sup_density)
-    lower = -rate.value
-    factor = 1.0 if exp.xi is None else exp.xi / (exp.xi + spec.kernel.dimension)
-    upper = -factor * rate.value if rate.finite else -math.inf
-    counts = _simulate_counts(exp, exp.region)
-    rows = _rows_from_counts(exp, counts)
-    verdicts = ()
-    if rate.finite:
-        slack = SANDWICH_SLACK_FRACTION * rate.value
-        final = rows[-1].normalized_log
-        verdicts = (
-            Verdict(
-                "sandwich_upper",
-                final <= upper + slack,
-                f"final normalized log {final:.6g} vs upper {upper:.6g} + slack {slack:.6g}",
-            ),
-            Verdict(
-                "sandwich_lower",
-                final >= lower - slack,
-                f"final normalized log {final:.6g} vs lower {lower:.6g} - slack {slack:.6g}",
-            ),
-        )
-    return DeviationReport(
-        kind="uniform_bounded" if exp.xi is None else "uniform_unbounded",
-        delta=exp.delta,
-        replications=exp.replications,
-        rate=rate,
-        sandwich=(lower, upper),
-        rows=rows,
-        verdicts=verdicts,
-    )
+    kind = "uniform_bounded" if exp.xi is None else "uniform_unbounded"
+    factor = 1.0 if exp.xi is None else exp.xi / (exp.xi + exp.spec.kernel.dimension)
+    return _tail_run(exp, kind, exp.region, sup_density, factor)
 
 
-def _tail_verdicts(rows: tuple, rate: RateValue) -> tuple:
+def _tail_verdicts(rows: list, rate: RateValue) -> tuple:
     """Convergence verdicts for a finite governing rate.
 
     The normalized log-probabilities approach -rate from below (the
@@ -435,6 +414,7 @@ def run_bias_study(
         bias_rows=tuple(rows),
         bias_bound=bound,
         verdicts=tuple(verdicts),
+        policy=(("ratio_change_tolerance", RATIO_CHANGE_TOLERANCE),),
     )
 
 
@@ -496,4 +476,5 @@ def chernoff_upper_curve(
         rows=tuple(out_rows),
         verdicts=verdicts,
         notes=tuple(notes),
+        policy=(("monte_carlo_sigmas", MONTE_CARLO_SIGMAS),),
     )

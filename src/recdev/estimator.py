@@ -45,7 +45,7 @@ from .kernels import (
     kernel_quadrature,
     norm_moment,
 )
-from .numerics import BLOCK_ENTRIES, NeumaierSum, as_count, finite_array, refine_each
+from .numerics import BLOCK_ENTRIES, NeumaierSum, as_count, finite_array, is_real, refine_each
 
 # two quadrature levels of each point's exact mean must agree to this gap,
 # relative once that mean exceeds 1
@@ -306,6 +306,8 @@ def bias_sup_bound(kernel: KernelModel, q: int, deriv_sup: float) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if deriv_sup < 0:
-        raise ValueError("derivative sup bound must be nonnegative")
+    if q > 170:  # 171! exceeds the float range
+        raise ValueError(f"q must be at most 170, so that q! is a float; got q={q}")
+    if not (is_real(deriv_sup) and deriv_sup >= 0):
+        raise ValueError(f"derivative sup bound must be finite and nonnegative; got {deriv_sup!r}")
     return deriv_sup / math.factorial(q) * norm_moment(kernel, q)

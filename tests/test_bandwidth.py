@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,6 +93,30 @@ def test_log_range_is_computed_once_per_n(monkeypatch):
     monkeypatch.setattr(sch, "values", None)  # a second computation would fail
     assert sch._log_range(5000) == (float(logs.min()), float(logs.max()))
     assert sch == BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
+
+
+def test_each_cache_entry_is_built_once_under_concurrent_reads(monkeypatch):
+    sch = BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
+    values, builds = sch.values, []
+    monkeypatch.setattr(sch, "values", lambda n: builds.append(n) or values(n))
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=10)
+        return sch.chebyshev_moments(3000, 64), sch.prefix_sums(2.0, 3000)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=60) for f in [pool.submit(read) for _ in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [3000, 3000, 3000]  # the log range, the moments and the prefix sums, once each
+    fresh = BandwidthSchedule(kind="power_log", c=0.5, a=0.4)
+    mu, sums = fresh.chebyshev_moments(3000, 64), fresh.prefix_sums(2.0, 3000)
+    for m, s in results:
+        assert m.tobytes() == mu.tobytes() and s.tobytes() == sums.tobytes()
 
 
 def test_normalized_sum_limit():

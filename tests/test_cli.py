@@ -618,6 +618,15 @@ def test_usage_error_at_run_time_exits_two(tmp_path, capsys, sub, fields, messag
     assert not (tmp_path / "o" / f"{sub}.csv").exists()
 
 
+def test_bias_order_beyond_the_float_factorial_exits_two(tmp_path, capsys):
+    # q! overflows a float from q = 171 on; the even q = 172 passes (H7)i)
+    rc = cli.main(["bias", "--q", "172", "--n", "100,200", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ValueError" in err and "q=172" in err
+    assert not (tmp_path / "o" / "bias.csv").exists()
+
+
 def test_underpowered_run_exits_three(tmp_path, capsys):
     path = _write_cfg(
         tmp_path, bandwidth_c=0.35, scaling_kind="power", scaling_b=0.1,

@@ -327,6 +327,26 @@ def test_chernoff_bound_dominates_and_reuses_base():
     assert fresh.rows == chern.rows
 
 
+def test_each_report_carries_the_policy_its_verdicts_read():
+    from recdev import cgf
+
+    assert deviations.Verdict is cgf.Verdict
+    spec = _spec()
+    exp = _exp(spec)
+    tail = (("final_gap_fraction", deviations.FINAL_GAP_FRACTION),
+            ("sandwich_slack_fraction", deviations.SANDWICH_SLACK_FRACTION))
+    pointwise = run_pointwise(exp)
+    reports = {
+        pointwise: tail,
+        run_uniform(_exp(spec, region=np.array([[-0.5], [0.0]]))): tail,
+        chernoff_upper_curve(exp, base=pointwise): (("monte_carlo_sigmas", deviations.MONTE_CARLO_SIGMAS),),
+        deviations.run_bias_study(spec, (100, 400)): (("ratio_change_tolerance", deviations.RATIO_CHANGE_TOLERANCE),),
+    }
+    for report, policy in reports.items():  # hashed as dict keys: a frozen report still hashes
+        assert report.policy == policy, report.kind
+        assert report.verdicts and all(isinstance(v, cgf.Verdict) for v in report.verdicts)
+
+
 def test_chernoff_base_nlist_mismatch_raises():
     # a base run at another delta or budget would be judged against this delta's bound
     budget = dict(delta=0.2, n_list=(100, 400), replications=200)

@@ -493,6 +493,16 @@ def test_bias_sup_bound_holds_at_every_n():
         assert sup_norm <= bound * (1 + 1e-9)
 
 
+def test_bias_sup_bound_refuses_an_order_or_a_sup_it_cannot_use():
+    kernel = builtin_kernel("gaussian", 1)
+    assert math.isfinite(bias_sup_bound(kernel, 170, 1.0))  # the largest q whose q! is a float
+    with pytest.raises(ValueError, match="q=171"):
+        bias_sup_bound(kernel, 171, 1.0)
+    for sup in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="derivative sup bound"):
+            bias_sup_bound(kernel, 2, sup)
+
+
 def test_bias_ratio_limit_vanishes_at_inflection():
     # at |x| = 1 the second derivative of the standard normal is zero
     kernel = builtin_kernel("gaussian", 1)
